@@ -32,11 +32,11 @@ from .assembly import (
     GalerkinMatrix,
     PotentialField,
     assemble,
-    b_entry_fourier,
     b_entry_quadrature,
+    b_matrix,
     sample_potential,
 )
-from .spectrum import SpectrumEstimate, count_negative, eigen_symmetric, nullity_diagnostic
+from .spectrum import SpectrumEstimate, eigen_symmetric, nullity_diagnostic
 from .bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -75,11 +75,10 @@ __all__ = [
     "GalerkinMatrix",
     "PotentialField",
     "assemble",
-    "b_entry_fourier",
     "b_entry_quadrature",
+    "b_matrix",
     "sample_potential",
     "SpectrumEstimate",
-    "count_negative",
     "eigen_symmetric",
     "nullity_diagnostic",
     "SUBSPACE_SETS",

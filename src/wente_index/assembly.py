@@ -5,28 +5,28 @@ b_ij integrates V u_i u_j over a fundamental rectangle of the torus:
 [0, y_period) for even l (an equivalent fundamental domain on which every
 integrand is a finite trigonometric sum, so nothing is lost by the change).
 
-Two independent routes produce each entry:
+One vectorized gather produces the entries for any sequence of basis
+functions from a single cosine-coefficient table of V: b_matrix returns
+b_ij, stability_matrix the restricted form, and the full matrix, subspace
+restrictions and the greedy search all come from it.
 
-* the Fourier route expands u_i u_j by product-to-sum identities into at
-  most two cosine-cosine modes and reads b_ij off a precomputed coefficient
-  table of V (one pass over the grid serves every entry);
-* the quadrature route evaluates V u_i u_j pointwise and applies the
-  periodic trapezoid rule, which is spectrally accurate here because all
-  integrands are smooth and periodic.
-
-V is even in x and y, so sine-coupled coefficients vanish; entries pairing
-a sine with a cosine are identically zero and are never computed.
+b_entry_quadrature applies the periodic trapezoid rule to one entry on the
+same grid.  There it is the same discrete Fourier transform as the table,
+so it checks the gather, not aliasing; it is kept as the test oracle.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisEnumeration, BasisFunction, enumerate_basis
+from .basis import BasisFunction, enumerate_basis
 from .surface import SurfaceParams, build_surface, lattice, potential_extrema, potential_grid
 
 __all__ = [
@@ -37,9 +37,10 @@ __all__ = [
     "NyquistError",
     "sample_potential",
     "cached_sample_potential",
+    "potential_field",
     "b_entry_quadrature",
-    "b_entry_fourier",
-    "required_waves",
+    "b_matrix",
+    "stability_matrix",
     "assemble",
     "field_cache_key",
     "write_field_cache",
@@ -66,9 +67,6 @@ class NyquistError(ValueError):
 class AssemblyConfig:
     nx: int | None = None
     ny: int | None = None
-    method: str = "fourier"  # 'fourier' | 'quadrature'
-    max_wave_x: int | None = None
-    max_wave_y: int | None = None
     cache_dir: "str | Path | None" = None
 
     def grids_for(self, p: SurfaceParams) -> tuple[int, int]:
@@ -112,31 +110,38 @@ class PotentialField:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def fourier(self) -> dict[tuple[int, int], float]:
-        """Coefficient table as a plain mapping (p, q) -> value."""
-        pmax, qmax = self.coeffs.shape
-        return {(p, q): float(self.coeffs[p, q]) for p in range(pmax) for q in range(qmax)}
-
-    def cos_coefficient(self, wave_x: int, wave_y: int) -> float:
+    def cos_coefficient(self, wave_x, wave_y) -> np.ndarray:
         """(1/area) integral of V cos(2 pi (wave_x x / (n x_period) + wave_y y / y_period)).
 
-        Wave integers are measured against (n x_period, y_period) as in the
-        basis enumeration.  The potential has x-period x_period/2 and
-        y-period y_period/2 (cn flips sign over a half period and V is even
-        in it), so its spectrum lives on wave multiples of (2n, 2); every
-        other coefficient is structurally zero and returned as exact 0.0.
+        Elementwise over integer arrays (or scalars) of equal shape.  Wave
+        integers are measured against (n x_period, y_period) as in the basis
+        enumeration.  The potential has x-period x_period/2 and y-period
+        y_period/2 (cn flips sign over a half period and V is even in it),
+        so its spectrum lives on wave multiples of (2n, 2); every other
+        coefficient is structurally zero and returned as exact 0.0.  An
+        on-lattice coefficient beyond the stored table raises
+        CoefficientRangeError.
         """
-        a, b = abs(int(wave_x)), abs(int(wave_y))
-        if a % (2 * self.surface.n) != 0 or b % 2 != 0:
-            return 0.0
-        if self.parity == "even":
-            a //= 2
-        if a >= self.coeffs.shape[0] or b >= self.coeffs.shape[1]:
+        a = np.abs(np.asarray(wave_x, dtype=np.int64))
+        b = np.abs(np.asarray(wave_y, dtype=np.int64))
+        # lookup table by wave integer: exact zeros off the lattice, NaN on
+        # lattice waves whose coefficient lies beyond the stored table
+        rows = np.arange(0, a.max() + 1, 2 * self.surface.n)
+        cols = np.arange(0, b.max() + 1, 2)
+        stored = rows // 2 if self.parity == "even" else rows
+        pdim, qdim = self.coeffs.shape
+        padded = np.full((pdim + 1, qdim + 1), np.nan)
+        padded[:pdim, :qdim] = self.coeffs
+        table = np.zeros((a.max() + 1, b.max() + 1))
+        table[np.ix_(rows, cols)] = padded[np.ix_(np.minimum(stored, pdim), np.minimum(cols, qdim))]
+        values = table[a, b]
+        missing = np.isnan(values)
+        if missing.any():
+            k = np.flatnonzero(missing)[0]
             raise CoefficientRangeError(
-                f"coefficient ({wave_x}, {wave_y}) outside stored range {self.coeffs.shape}"
+                f"coefficient ({a.flat[k]}, {b.flat[k]}) outside stored range {self.coeffs.shape}"
             )
-        return float(self.coeffs[a, b])
+        return values
 
     def sine_channel_max(self, pmax: int | None = None, qmax: int | None = None) -> float:
         """Largest |sine-coupled coefficient|; a symmetry diagnostic, ~0 for even V."""
@@ -168,6 +173,11 @@ def _rectangle(p: SurfaceParams) -> tuple[float, float]:
     return width, p.y_period
 
 
+def _table_shape(nx: int, ny: int, max_wave_x: int, max_wave_y: int) -> tuple[int, int]:
+    """Shape of the stored coefficient table: the requested extent, capped below Nyquist."""
+    return min(max_wave_x, nx // 2 - 1) + 1, min(max_wave_y, ny // 2 - 1) + 1
+
+
 def sample_potential(
     p: SurfaceParams,
     nx: int = DEFAULT_GRID,
@@ -188,26 +198,38 @@ def sample_potential(
     x = np.arange(nx) * (width / nx)
     y = np.arange(ny) * (height / ny)
     grid = potential_grid(p, x, y)
-    pmax = min(max_wave_x, nx // 2 - 1)
-    qmax = min(max_wave_y, ny // 2 - 1)
-    cx, _ = _transform_vectors(nx, pmax)
-    cy, _ = _transform_vectors(ny, qmax)
+    pdim, qdim = _table_shape(nx, ny, max_wave_x, max_wave_y)
+    cx, _ = _transform_vectors(nx, pdim - 1)
+    cy, _ = _transform_vectors(ny, qdim - 1)
     coeffs = (cx.T @ grid @ cy) / (nx * ny)
     return PotentialField(
         surface=p, nx=nx, ny=ny, width=width, height=height, coeffs=coeffs, grid=grid
     )
 
 
-def _rect_cycles(fld: PotentialField, ui: BasisFunction, uj: BasisFunction) -> tuple[float, float]:
-    half = 0.5 if fld.parity == "even" else 1.0
-    return (abs(ui.wave_x) + abs(uj.wave_x)) * half, float(abs(ui.wave_y) + abs(uj.wave_y))
+def potential_field(
+    p: SurfaceParams, functions: Sequence[BasisFunction], cfg: AssemblyConfig
+) -> PotentialField:
+    """V on the configured grid, with a table covering every product of the functions.
+
+    A product reaches the sum of two wave pairs; the even-parity rectangle
+    is half as wide, so its x frequencies are half the wave integers.
+    """
+    need_x = 2 * max(abs(f.wave_x) for f in functions)
+    need_y = 2 * max(abs(f.wave_y) for f in functions)
+    if p.ell % 2 == 0:
+        need_x //= 2
+    nx, ny = cfg.grids_for(p)
+    return cached_sample_potential(p, nx, ny, cfg.cache_dir, need_x, need_y)
 
 
 def b_entry_quadrature(fld: PotentialField, ui: BasisFunction, uj: BasisFunction) -> float:
-    """b_ij by the periodic trapezoid rule on the field's own grid."""
+    """b_ij by the periodic trapezoid rule on the field's own grid (test oracle)."""
     if fld.grid is None:
         raise ValueError("field was loaded without grid samples; resample to use quadrature")
-    cycles_x, cycles_y = _rect_cycles(fld, ui, uj)
+    half = 0.5 if fld.parity == "even" else 1.0
+    cycles_x = (abs(ui.wave_x) + abs(uj.wave_x)) * half
+    cycles_y = float(abs(ui.wave_y) + abs(uj.wave_y))
     if cycles_x >= fld.nx / 2 or cycles_y >= fld.ny / 2:
         raise NyquistError(
             f"grid {fld.nx}x{fld.ny} cannot resolve combined mode ({cycles_x}, {cycles_y}) cycles"
@@ -219,23 +241,51 @@ def b_entry_quadrature(fld: PotentialField, ui: BasisFunction, uj: BasisFunction
     return float(integrand.sum()) * cell
 
 
-def b_entry_fourier(fld: PotentialField, ui: BasisFunction, uj: BasisFunction) -> float:
-    """b_ij from the coefficient table; exact zeros are returned without lookups.
+def _phase_blocks(fld: PotentialField, functions: Sequence[BasisFunction]):
+    """Yield (positions, b block) for the sine and then the cosine functions.
 
-    sin(A)cos(B) expands into pure sines, which integrate to zero against the
-    even potential, so mixed-phase pairs vanish identically.  Same-phase
-    pairs reduce to the two cosine-cosine modes at the wave sum and wave
-    difference.
+    A same-phase pair reduces to the cosine coefficients at the wave
+    difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
+    - C[w_i + w_j]) for sines and with + for cosines.  Working one block at
+    a time keeps temporaries at the size of one block.
     """
-    if ui.phase != uj.phase:
-        return 0.0
-    diff = fld.cos_coefficient(ui.wave_x - uj.wave_x, ui.wave_y - uj.wave_y)
-    total = fld.cos_coefficient(ui.wave_x + uj.wave_x, ui.wave_y + uj.wave_y)
-    if ui.phase == "sin":
-        value = 0.5 * (diff - total)
-    else:
-        value = 0.5 * (diff + total)
-    return ui.norm * uj.norm * fld.area * value
+    for phase in ("sin", "cos"):
+        idx = np.array([r for r, f in enumerate(functions) if f.phase == phase], dtype=np.intp)
+        if idx.size == 0:
+            continue
+        wx = np.array([functions[r].wave_x for r in idx])
+        wy = np.array([functions[r].wave_y for r in idx])
+        norm = np.array([functions[r].norm for r in idx])
+        diff = fld.cos_coefficient(wx[:, None] - wx, wy[:, None] - wy)
+        total = fld.cos_coefficient(wx[:, None] + wx, wy[:, None] + wy)
+        value = 0.5 * (diff - total) if phase == "sin" else 0.5 * (diff + total)
+        yield np.ix_(idx, idx), np.outer(norm, norm) * fld.area * value
+
+
+def b_matrix(fld: PotentialField, functions: Sequence[BasisFunction]) -> np.ndarray:
+    """b_ij = integral of V u_i u_j for every pair of the given functions.
+
+    sin(A)cos(B) expands into pure sines, which integrate to zero against
+    the even potential, so mixed-phase entries are exact zeros.
+    """
+    b = np.zeros((len(functions), len(functions)))
+    for block, values in _phase_blocks(fld, functions):
+        b[block] = values
+    return b
+
+
+def stability_matrix(fld: PotentialField, functions: Sequence[BasisFunction]) -> np.ndarray:
+    """alpha_i delta_ij - b_ij restricted to the span of the given functions.
+
+    Symmetric bit for bit, since b_ij and b_ji are computed by the same
+    operations.  Mixed-phase entries are +0.0 and every other off-diagonal
+    entry is exactly -b_ij.
+    """
+    a = np.zeros((len(functions), len(functions)))
+    for block, values in _phase_blocks(fld, functions):
+        a[block] = -values
+    a[np.diag_indices_from(a)] += [f.alpha for f in functions]
+    return a
 
 
 @dataclass(frozen=True)
@@ -244,20 +294,6 @@ class GalerkinMatrix:
     entries: np.ndarray
     surface: SurfaceParams
     provenance: dict
-
-    @property
-    def basis(self) -> BasisEnumeration:
-        return enumerate_basis(lattice(self.surface), self.m)
-
-
-def required_waves(p: SurfaceParams, m: int) -> tuple[int, int]:
-    """Coefficient-table extent needed to assemble an m x m matrix."""
-    basis = enumerate_basis(lattice(p), m)
-    need_x = 2 * max(abs(f.wave_x) for f in basis.functions)
-    need_y = 2 * max(abs(f.wave_y) for f in basis.functions)
-    if p.ell % 2 == 0:
-        need_x //= 2
-    return need_x, need_y
 
 
 def assemble(
@@ -268,40 +304,12 @@ def assemble(
 ) -> GalerkinMatrix:
     """Assemble the symmetric m x m truncation of -Laplacian - V.
 
-    Mixed-phase entries are skipped (exact zeros); every remaining entry is
-    computed once and mirrored, so the matrix is symmetric bit for bit.
-    A prebuilt field may be passed to reuse one potential pass across calls.
+    A prebuilt field may be passed to reuse one potential pass across calls;
+    otherwise one covering the basis is sampled, or read from the cache.
     """
-    cfg = cfg or AssemblyConfig()
-    if cfg.method not in ("fourier", "quadrature"):
-        raise ValueError(f"unknown assembly method {cfg.method!r}")
     basis = enumerate_basis(lattice(p), m)
     if fld is None:
-        nx, ny = cfg.grids_for(p)
-        need_x = 2 * max(abs(f.wave_x) for f in basis.functions)
-        need_y = 2 * max(abs(f.wave_y) for f in basis.functions)
-        if p.ell % 2 == 0:
-            need_x //= 2
-        wave_x = max(cfg.max_wave_x or 0, need_x)
-        wave_y = max(cfg.max_wave_y or 0, need_y)
-        if cfg.method == "quadrature":
-            # quadrature needs the grid samples, which the cache does not keep
-            fld = sample_potential(p, nx, ny, wave_x, wave_y)
-        else:
-            fld = cached_sample_potential(p, nx, ny, cfg.cache_dir, wave_x, wave_y)
-    entry = b_entry_fourier if cfg.method == "fourier" else b_entry_quadrature
-
-    a = np.zeros((m, m))
-    for i in range(m):
-        ui = basis[i]
-        for j in range(i, m):
-            uj = basis[j]
-            if ui.phase != uj.phase:
-                continue
-            b = entry(fld, ui, uj)
-            a[i, j] = -b
-            a[j, i] = -b
-        a[i, i] += ui.alpha
+        fld = potential_field(p, basis.functions, cfg or AssemblyConfig())
     provenance = {
         "surface": p.label,
         "H": p.H,
@@ -309,17 +317,19 @@ def assemble(
         "m": m,
         "nx": fld.nx,
         "ny": fld.ny,
-        "method": cfg.method,
     }
-    return GalerkinMatrix(m=m, entries=a, surface=p, provenance=provenance)
+    return GalerkinMatrix(
+        m=m, entries=stability_matrix(fld, basis.functions), surface=p, provenance=provenance
+    )
 
 
 # --- potential-field cache -------------------------------------------------
 #
 # Binary layout: magic, version, the key (l, n, H, theta, nx, ny), the
 # rectangle, the coefficient table shape, then the raw float64 coefficients.
-# Raw bytes round-trip bit for bit, so a cache hit reproduces the fourier
-# assembly exactly.
+# Raw bytes round-trip bit for bit, so a cache hit reproduces the assembly
+# exactly.  The transform's low bits depend on the table extent, so the
+# file name carries the table shape and only an exact match is a hit.
 
 _CACHE_MAGIC = b"WNTPOT"
 _CACHE_VERSION = 1
@@ -331,6 +341,7 @@ def field_cache_key(p: SurfaceParams, nx: int, ny: int) -> tuple:
 
 
 def write_field_cache(fld: PotentialField, path: "str | Path") -> None:
+    """Write atomically: readers see the old file or the complete new one."""
     p = fld.surface
     header = _HEADER.pack(
         _CACHE_MAGIC,
@@ -347,7 +358,16 @@ def write_field_cache(fld: PotentialField, path: "str | Path") -> None:
         fld.coeffs.shape[1],
     )
     payload = np.ascontiguousarray(fld.coeffs, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    path = Path(path)
+    # the temporary name ends in .tmp, so cache listings never see it
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_field_cache(path: "str | Path") -> PotentialField:
@@ -381,20 +401,23 @@ def cached_sample_potential(
     max_wave_x: int = DEFAULT_MAX_WAVE,
     max_wave_y: int = DEFAULT_MAX_WAVE,
 ) -> PotentialField:
-    """sample_potential with a directory-backed cache of coefficient tables."""
+    """sample_potential with a directory-backed cache of coefficient tables.
+
+    A missing or unreadable file is a miss: the table is sampled again and
+    the file rewritten.
+    """
     if cache_dir is None:
         return sample_potential(p, nx, ny, max_wave_x, max_wave_y)
     key = field_cache_key(p, nx, ny)
-    name = "pot_{}_{}_H{}_t{}_{}x{}.wntpot".format(*key)
+    shape = _table_shape(nx, ny, max_wave_x, max_wave_y)
+    name = "pot_{}_{}_H{}_t{}_{}x{}_c{}x{}.wntpot".format(*key, *shape)
     path = Path(cache_dir) / name
-    if path.exists():
+    try:
         fld = read_field_cache(path)
-        if (
-            field_cache_key(fld.surface, fld.nx, fld.ny) == key
-            and fld.coeffs.shape[0] > min(max_wave_x, nx // 2 - 1)
-            and fld.coeffs.shape[1] > min(max_wave_y, ny // 2 - 1)
-        ):
-            return fld
+    except (OSError, ValueError):
+        fld = None
+    if fld is not None and field_cache_key(fld.surface, fld.nx, fld.ny) == key and fld.coeffs.shape == shape:
+        return fld
     fld = sample_potential(p, nx, ny, max_wave_x, max_wave_y)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_field_cache(fld, path)

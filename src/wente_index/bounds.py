@@ -27,9 +27,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import AssemblyConfig, assemble, b_entry_fourier, sample_potential
-from .basis import count_alpha_below, enumerate_basis, shell_complete_sizes
-from .spectrum import count_negative, eigen_symmetric, nullity_diagnostic
+from .assembly import AssemblyConfig, PotentialField, assemble, potential_field, stability_matrix
+from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
+from .basis import BasisFunction, count_alpha_below, enumerate_basis, shell_complete_sizes
+from .spectrum import eigen_symmetric, nullity_diagnostic
 from .surface import SurfaceParams, lattice, potential_extrema
 
 __all__ = [
@@ -90,13 +91,6 @@ def courant_bound(ell: int, n: int) -> int:
     return 2 * n - 2 if ell % 2 == 1 else n - 2
 
 
-def _padded_size(p: SurfaceParams, m: int) -> int:
-    """Next shell-complete size >= m; keeps index-bound enumerations warning-free."""
-    parity = "odd" if p.ell % 2 == 1 else "even"
-    sizes = shell_complete_sizes(parity, 4 * m + 8)
-    return next(s for s in sizes if s >= m)
-
-
 def potential_sandwich(p: SurfaceParams) -> SandwichBounds:
     """(mu - 1, nu): lattice eigenvalues strictly below V_min resp. V_max.
 
@@ -110,10 +104,8 @@ def potential_sandwich(p: SurfaceParams) -> SandwichBounds:
     return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near_min + near_max)
 
 
-def subspace_matrix(
-    p: SurfaceParams, indices: Sequence[int], cfg: AssemblyConfig | None = None
-) -> np.ndarray:
-    """Restriction of the stability form to the selected basis functions."""
+def _selected_functions(p: SurfaceParams, indices: Sequence[int]) -> list[BasisFunction]:
+    """The basis functions at the given 1-based indices, validated."""
     indices = tuple(int(i) for i in indices)
     if not indices:
         raise ValueError("at least one basis index is required")
@@ -121,37 +113,38 @@ def subspace_matrix(
         raise ValueError("basis indices must be distinct")
     if min(indices) < 1:
         raise ValueError("basis indices are 1-based")
-    cfg = cfg or AssemblyConfig()
-    basis = enumerate_basis(lattice(p), _padded_size(p, max(indices)))
-    chosen = [basis[i - 1] for i in indices]
-    nx, ny = cfg.grids_for(p)
-    need_x = 2 * max(abs(f.wave_x) for f in chosen)
-    need_y = 2 * max(abs(f.wave_y) for f in chosen)
-    if p.ell % 2 == 0:
-        need_x //= 2
-    fld = sample_potential(p, nx, ny, max_wave_x=need_x, max_wave_y=need_y)
-    n_sub = len(chosen)
-    mat = np.zeros((n_sub, n_sub))
-    for r in range(n_sub):
-        for s in range(r, n_sub):
-            if chosen[r].phase != chosen[s].phase:
-                continue
-            b = b_entry_fourier(fld, chosen[r], chosen[s])
-            mat[r, s] = -b
-            mat[s, r] = -b
-        mat[r, r] += chosen[r].alpha
-    return mat
+    basis = enumerate_basis(lattice(p), default_m(p, max(indices)))
+    return [basis[i - 1] for i in indices]
+
+
+def subspace_matrix(
+    p: SurfaceParams,
+    indices: Sequence[int],
+    cfg: AssemblyConfig | None = None,
+    fld: PotentialField | None = None,
+) -> np.ndarray:
+    """Restriction of the stability form to the selected basis functions.
+
+    Without a field, V is sampled at the selection's own coefficient extent.
+    """
+    chosen = _selected_functions(p, indices)
+    if fld is None:
+        fld = potential_field(p, chosen, cfg or AssemblyConfig())
+    return stability_matrix(fld, chosen)
 
 
 def subspace_bound(
-    p: SurfaceParams, indices: Sequence[int], cfg: AssemblyConfig | None = None
+    p: SurfaceParams,
+    indices: Sequence[int],
+    cfg: AssemblyConfig | None = None,
+    fld: PotentialField | None = None,
 ) -> SubspaceVerdict:
     """Check negative definiteness of the restricted form on the given span.
 
     A negative definite N-dimensional restriction implies Ind >= N - 1 (one
     dimension can be lost to the volume constraint).
     """
-    mat = subspace_matrix(p, indices, cfg)
+    mat = subspace_matrix(p, indices, cfg, fld)
     top = float(eigen_symmetric(mat).eigenvalues[-1])
     definite = top < 0.0
     return SubspaceVerdict(
@@ -174,8 +167,7 @@ def greedy_subspace_search(
     """
     if pool_size < 1:
         raise ValueError("pool_size must be at least 1")
-    cfg = cfg or AssemblyConfig()
-    full = assemble(p, _padded_size(p, pool_size), cfg).entries[:pool_size, :pool_size]
+    full = assemble(p, default_m(p, pool_size), cfg).entries[:pool_size, :pool_size]
     chosen: list[int] = []
     remaining = list(range(pool_size))
     while remaining:
@@ -267,7 +259,8 @@ def full_report(
     when one exists.  Inconsistent bounds raise ConsistencyError: they can
     only come from a numerical fault, never from the mathematics.
     """
-    m = m or default_m(p)
+    m = default_m(p) if m is None else m
+    cfg = cfg or AssemblyConfig()
     notes: list[str] = []
 
     courant = courant_bound(p.ell, p.n)
@@ -279,23 +272,24 @@ def full_report(
 
     if subspace_indices is None:
         subspace_indices = SUBSPACE_SETS.get(p.label)
+    # One potential field serves the subspace check and the Galerkin matrix.
+    # Enumerating to a full shell leaves the partial-shell warning to assemble.
+    selection = () if subspace_indices is None else tuple(_selected_functions(p, subspace_indices))
+    fld = potential_field(p, enumerate_basis(lattice(p), default_m(p, m)).functions[:m] + selection, cfg)
     subspace_lower: int | None = None
     if subspace_indices is not None:
-        verdict = subspace_bound(p, subspace_indices, cfg)
+        verdict = subspace_bound(p, subspace_indices, cfg, fld)
         if verdict.negative_definite:
             subspace_lower = verdict.implied_lower
         else:
             notes.append("provided subspace is not negative definite; no bound taken from it")
 
-    matrix = assemble(p, m, cfg)
-    est = eigen_symmetric(matrix)
-    if zero_tol is not None:
-        k, uncertain = count_negative(est, zero_tol)
-    else:
-        k, uncertain = est.negative_count, est.uncertain_count
-        zero_tol = est.zero_tol
+    matrix = assemble(p, m, cfg, fld)
+    del fld  # release the grid samples before the eigensolver's peak
+    est = eigen_symmetric(matrix, zero_tol)
+    k, uncertain = est.negative_count, est.uncertain_count
     if uncertain:
-        notes.append(f"{uncertain} eigenvalue(s) within zero tolerance {zero_tol:g}; count is ambiguous")
+        notes.append(f"{uncertain} eigenvalue(s) within zero tolerance {est.zero_tol:g}; count is ambiguous")
     best_lower = max(
         [courant, sandwich.lower] + ([subspace_lower] if subspace_lower is not None else [])
     )
@@ -329,7 +323,7 @@ def full_report(
         first_positive_six=(six[0], six[-1]),
         uncertain_count=uncertain,
         residual_bound=est.residual_bound,
-        zero_tol=zero_tol,
+        zero_tol=est.zero_tol,
         notes=tuple(notes),
     )
     _check_consistency(report)

@@ -10,8 +10,9 @@ Subcommands:
     cache     inspect or clear cached potential coefficient tables
 
 Reports embed their full run configuration and a schema version; identical
-configurations produce byte-identical output (no timestamps, sorted keys).
-The cache directory comes from --cache-dir or the WENTE_CACHE_DIR variable.
+configurations produce byte-identical output (no timestamps, sorted keys),
+whether or not the coefficient cache was warm.  The cache directory comes
+from --cache-dir or the WENTE_CACHE_DIR variable.
 """
 
 from __future__ import annotations
@@ -25,15 +26,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .assembly import (
-    AssemblyConfig,
-    assemble,
-    field_cache_key,
-    read_field_cache,
-)
+from .assembly import AssemblyConfig, field_cache_key, read_field_cache
 from .bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -47,7 +41,7 @@ from .reference import REFERENCE_ESTIMATES, REFERENCE_GEOMETRY, estimate_row
 from .spectrum import eigen_symmetric
 from .surface import CATALOG, ParameterError, build_surface, catalog_surface, potential_extrema
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_CACHE_DIR = "WENTE_CACHE_DIR"
 
 # Diff tolerances for the reference tables (matching the precision at which
@@ -70,6 +64,13 @@ def _parse_surface(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise UsageError(f"surface must be two integers, got {text!r}") from exc
     return ell, n
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -110,11 +111,8 @@ def _assembly_config(args) -> AssemblyConfig:
     nx = ny = None
     if getattr(args, "grid", None) is not None:
         nx, ny = args.grid
-    method = getattr(args, "method", "fourier")
-    if method == "both":
-        method = "fourier"
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
-    return AssemblyConfig(nx=nx, ny=ny, method=method, cache_dir=cache_dir)
+    return AssemblyConfig(nx=nx, ny=ny, cache_dir=cache_dir)
 
 
 def _emit(args, payload: dict, text_renderer) -> None:
@@ -172,14 +170,7 @@ def cmd_report(args) -> int:
                 m = estimate_row(p.label).m
             except KeyError:
                 m = default_m(p)
-        report = full_report(p, m, cfg, zero_tol=args.zero_tol)
-        out = report.to_dict()
-        if args.method == "both":
-            fourier = assemble(p, m, cfg)
-            quad_cfg = AssemblyConfig(nx=cfg.nx, ny=cfg.ny, method="quadrature")
-            quad = assemble(p, m, quad_cfg)
-            out["method_discrepancy"] = float(np.max(np.abs(fourier.entries - quad.entries)))
-        return out
+        return full_report(p, m, cfg, zero_tol=args.zero_tol).to_dict()
 
     workers = min(args.jobs, len(surfaces)) or 1
     if workers > 1:
@@ -191,7 +182,7 @@ def cmd_report(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
-        "config": _run_config(args, m=args.m, grid=args.grid, method=args.method, zero_tol=args.zero_tol),
+        "config": _run_config(args, m=args.m, grid=args.grid, zero_tol=args.zero_tol),
         "reports": reports,
     }
     _emit(args, payload, _render_report_text)
@@ -220,8 +211,6 @@ def _render_report_text(payload: dict) -> str:
                 _fmt6(r["first_positive_six"][0]), _fmt6(r["first_positive_six"][1])
             )
         )
-        if "method_discrepancy" in r:
-            lines.append(f"  fourier vs quadrature    : {_fmt6(r['method_discrepancy'])}")
         for note in r["notes"]:
             lines.append(f"  note: {note}")
     return "\n".join(lines)
@@ -349,7 +338,8 @@ def cmd_table3(args) -> int:
     def one(ref):
         ell, n = _parse_surface(ref.surface)
         p = build_surface(ell, n, args.H)
-        report = full_report(p, args.m or ref.m, cfg, zero_tol=args.zero_tol)
+        m = ref.m if args.m is None else args.m
+        report = full_report(p, m, cfg, zero_tol=args.zero_tol)
         checks = {
             "galerkin_k": report.galerkin_k == ref.galerkin_k,
             "negative_range": _range_ok(report.negative_range, ref.negative_range),
@@ -499,7 +489,7 @@ def cmd_cache(args) -> int:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(sub, grid=True, m=False, method=False) -> None:
+def _add_common(sub, grid=True, m=False) -> None:
     sub.add_argument("--surface", default="all", help="surface label l/n, or 'all'")
     sub.add_argument("-H", "--mean-curvature", dest="H", type=float, default=0.5)
     sub.add_argument("--theta", type=float, default=None, help="override the catalogued angle (degrees)")
@@ -509,9 +499,7 @@ def _add_common(sub, grid=True, m=False, method=False) -> None:
     if grid:
         sub.add_argument("--grid", type=_parse_grid, default=None, help="N or NXxNY samples")
     if m:
-        sub.add_argument("--m", type=int, default=None, help="truncation size (default: reference size)")
-    if method:
-        sub.add_argument("--method", choices=("fourier", "quadrature", "both"), default="fourier")
+        sub.add_argument("--m", type=_positive_int, default=None, help="truncation size (default: reference size)")
     sub.add_argument("--zero-tol", type=float, default=None)
 
 
@@ -523,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("report", help="full report per surface"), m=True, method=True)
+    _add_common(subs.add_parser("report", help="full report per surface"), m=True)
     _add_common(subs.add_parser("bounds", help="analytic bounds only"), grid=False)
     _add_common(subs.add_parser("table2", help="diff geometry and bounds against reference"), grid=False)
     _add_common(subs.add_parser("table3", help="diff Galerkin estimates against reference"), m=True)

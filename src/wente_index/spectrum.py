@@ -21,7 +21,6 @@ __all__ = [
     "SpectrumEstimate",
     "ZERO_TOL_RELATIVE",
     "eigen_symmetric",
-    "count_negative",
     "nullity_diagnostic",
 ]
 
@@ -58,10 +57,12 @@ def _matrix_of(a) -> np.ndarray:
     return a.entries if isinstance(a, GalerkinMatrix) else np.asarray(a, dtype=float)
 
 
-def eigen_symmetric(a: "GalerkinMatrix | np.ndarray") -> SpectrumEstimate:
+def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = None) -> SpectrumEstimate:
     """Full spectrum of a symmetric matrix with a residual certificate.
 
-    Raises ValueError when the input is not symmetric to rounding accuracy.
+    Eigenvalues within zero_tol of zero (default ZERO_TOL_RELATIVE * ||A||)
+    are counted as uncertain, the rest below it as negative.  Raises
+    ValueError when the input is not symmetric to rounding accuracy.
     """
     mat = _matrix_of(a)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -73,8 +74,8 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray") -> SpectrumEstimate:
 
     values, vectors = np.linalg.eigh(mat)
     residual = float(np.max(np.linalg.norm(mat @ vectors - vectors * values, axis=0)))
-    norm = float(max(abs(values[0]), abs(values[-1]))) or 1.0
-    zero_tol = ZERO_TOL_RELATIVE * norm
+    if zero_tol is None:
+        zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)
     negative = int(np.sum(values < -zero_tol))
     uncertain = int(np.sum(np.abs(values) <= zero_tol))
     first_six = tuple(float(v) for v in values[negative + uncertain:][:6])
@@ -88,15 +89,6 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray") -> SpectrumEstimate:
         uncertain_count=uncertain,
         eigenvectors=vectors,
     )
-
-
-def count_negative(est: SpectrumEstimate, zero_tol: float | None = None) -> tuple[int, int]:
-    """(#eigenvalues below -zero_tol, #eigenvalues inside the zero band)."""
-    tol = est.zero_tol if zero_tol is None else zero_tol
-    values = est.eigenvalues
-    count = int(np.sum(values < -tol))
-    uncertain = int(np.sum(np.abs(values) <= tol))
-    return count, uncertain
 
 
 def nullity_diagnostic(est: SpectrumEstimate) -> tuple[float, ...]:

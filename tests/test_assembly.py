@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,11 @@ from wente_index.assembly import (
     NyquistError,
     PotentialField,
     assemble,
-    b_entry_fourier,
     b_entry_quadrature,
+    b_matrix,
+    potential_field,
     field_cache_key,
     read_field_cache,
-    required_waves,
     sample_potential,
     write_field_cache,
     cached_sample_potential,
@@ -25,6 +26,39 @@ from wente_index.surface import lattice, potential_extrema
 # printed to three significant figures.
 W32_CERTIFIED_INDICES = (1, 2, 3, 4, 5, 7, 8, 9, 17)
 W32_CERTIFIED_DIAGONAL = (-9.50, -7.99, -7.99, -1.36, -13.2, -8.70, -5.76, -5.76, -5.50)
+
+
+def _entry(fld, ui, uj):
+    """One entry b_ij through the matrix kernel."""
+    return float(b_matrix(fld, [ui, uj])[0, 1])
+
+
+def _loop_assemble(fld, basis):
+    """Entry-by-entry reference: the scalar formula the kernel must reproduce bit for bit."""
+    n, even = fld.surface.n, fld.surface.ell % 2 == 0
+
+    def coeff(wave_x, wave_y):
+        a, b = abs(wave_x), abs(wave_y)
+        if a % (2 * n) != 0 or b % 2 != 0:
+            return 0.0
+        return float(fld.coeffs[a // 2 if even else a, b])
+
+    m = len(basis)
+    a = np.zeros((m, m))
+    for i in range(m):
+        ui = basis[i]
+        for j in range(i, m):
+            uj = basis[j]
+            if ui.phase != uj.phase:
+                continue
+            diff = coeff(ui.wave_x - uj.wave_x, ui.wave_y - uj.wave_y)
+            total = coeff(ui.wave_x + uj.wave_x, ui.wave_y + uj.wave_y)
+            value = 0.5 * (diff - total) if ui.phase == "sin" else 0.5 * (diff + total)
+            b = ui.norm * uj.norm * fld.area * value
+            a[i, j] = -b
+            a[j, i] = -b
+        a[i, i] += ui.alpha
+    return a
 
 
 def _constant_field(p, value, nx=128, ny=128):
@@ -72,10 +106,13 @@ class TestSampling:
         assert w32_field.cos_coefficient(4, 1) == 0.0
         assert w32_field.cos_coefficient(3, 2) == 0.0
 
-    def test_fourier_mapping_view(self, w32_field):
-        table = w32_field.fourier
-        assert table[(0, 0)] == w32_field.coeffs[0, 0]
-        assert len(table) == w32_field.coeffs.size
+    def test_vectorized_lookup_follows_lattice_rule(self, w32_field):
+        n = w32_field.surface.n
+        waves_x, waves_y = np.meshgrid(np.arange(-12, 13), np.arange(-9, 10), indexing="ij")
+        looked_up = w32_field.cos_coefficient(waves_x, waves_y)
+        for wx, wy, value in zip(waves_x.flat, waves_y.flat, looked_up.flat):
+            on_lattice = wx % (2 * n) == 0 and wy % 2 == 0
+            assert value == (w32_field.coeffs[abs(wx), abs(wy)] if on_lattice else 0.0)
 
     def test_even_parity_rectangle_is_half_width(self, w43_field, w43):
         assert w43_field.width == pytest.approx(w43.n * w43.x_period / 2, rel=1e-15)
@@ -84,7 +121,7 @@ class TestSampling:
         fld = sample_potential(w32, 128, 128, max_wave_x=2, max_wave_y=2)
         ui = enumerate_basis(lattice(w32), 13)[5]  # wave (2, 0), sine
         with pytest.raises(CoefficientRangeError):
-            b_entry_fourier(fld, ui, ui)  # wave sum (4, 0) is off the table
+            b_matrix(fld, [ui])  # wave sum (4, 0) is off the table
 
 
 class TestEntries:
@@ -92,20 +129,20 @@ class TestEntries:
         fld = _constant_field(w32, 3.25)
         basis = enumerate_basis(lattice(w32), 5)
         u1 = basis[0]
-        assert b_entry_fourier(fld, u1, u1) == pytest.approx(3.25, rel=1e-13)
+        assert _entry(fld, u1, u1) == pytest.approx(3.25, rel=1e-13)
         assert b_entry_quadrature(fld, u1, u1) == pytest.approx(3.25, rel=1e-13)
 
     def test_constant_potential_off_diagonal(self, w32):
         fld = _constant_field(w32, 3.25)
         basis = enumerate_basis(lattice(w32), 5)
         # same phase, different modes: orthogonality kills the entry
-        assert b_entry_fourier(fld, basis[1], basis[3]) == pytest.approx(0.0, abs=1e-15)
+        assert _entry(fld, basis[1], basis[3]) == pytest.approx(0.0, abs=1e-15)
         assert b_entry_quadrature(fld, basis[1], basis[3]) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_phase_is_exact_zero_fourier(self, w32_field, w32):
         basis = enumerate_basis(lattice(w32), 13)
-        assert b_entry_fourier(w32_field, basis[0], basis[1]) == 0.0
-        assert b_entry_fourier(w32_field, basis[3], basis[4]) == 0.0
+        assert _entry(w32_field, basis[0], basis[1]) == 0.0
+        assert _entry(w32_field, basis[3], basis[4]) == 0.0
 
     def test_mixed_phase_small_on_quadrature(self, w32_field, w32):
         basis = enumerate_basis(lattice(w32), 13)
@@ -124,13 +161,13 @@ class TestEntries:
                 continue
             on_lattice = f.wave_x % (2 * w32.n) == 0 and f.wave_y % 2 == 0
             if not on_lattice:
-                assert b_entry_fourier(w32_field, u1, f) == 0.0
+                assert _entry(w32_field, u1, f) == 0.0
                 assert abs(b_entry_quadrature(w32_field, u1, f)) < 1e-10
 
     def test_mean_entry_matches_table(self, w32_field, w32):
         # alpha_1 - b_11 is the (1,1) entry of the published 9x9 matrix
         u1 = enumerate_basis(lattice(w32), 5)[0]
-        b11 = b_entry_fourier(w32_field, u1, u1)
+        b11 = _entry(w32_field, u1, u1)
         assert 0.0 - b11 == pytest.approx(-9.50, abs=0.05)
 
     @pytest.mark.parametrize("surface", ["w32", "w43"])
@@ -141,7 +178,7 @@ class TestEntries:
         basis = enumerate_basis(lattice(p), m)
         for _ in range(50):
             i, j = rng.integers(0, m, size=2)
-            bf = b_entry_fourier(fld, basis[int(i)], basis[int(j)])
+            bf = _entry(fld, basis[int(i)], basis[int(j)])
             bq = b_entry_quadrature(fld, basis[int(i)], basis[int(j)])
             assert abs(bf - bq) <= 1e-9 * max(1.0, abs(bf)), (i, j)
 
@@ -185,16 +222,23 @@ class TestAssemble:
         fine = assemble(w32, 41, AssemblyConfig(nx=512, ny=512)).entries
         assert np.max(np.abs(coarse - fine)) <= 1e-8
 
-    def test_method_quadrature_agrees(self, w43):
-        cfg_f = AssemblyConfig(nx=128, ny=128, method="fourier")
-        cfg_q = AssemblyConfig(nx=128, ny=128, method="quadrature")
-        a_f = assemble(w43, 25, cfg_f).entries
-        a_q = assemble(w43, 25, cfg_q).entries
-        assert np.max(np.abs(a_f - a_q)) <= 1e-9
+    @pytest.mark.parametrize("surface,m", [("w32", 41), ("w43", 49)])
+    def test_matches_scalar_reference(self, surface, m, request):
+        p = request.getfixturevalue(surface)
+        basis = enumerate_basis(lattice(p), m)
+        fld = potential_field(p, basis.functions, AssemblyConfig(nx=256, ny=256))
+        got = assemble(p, m, fld=fld).entries
+        expected = _loop_assemble(fld, basis)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
-    def test_unknown_method(self, w32):
-        with pytest.raises(ValueError):
-            assemble(w32, 13, AssemblyConfig(method="magic"))
+    def test_quadrature_oracle_matches_assemble(self, w43):
+        basis = enumerate_basis(lattice(w43), 25)
+        fld = potential_field(w43, basis.functions, AssemblyConfig(nx=128, ny=128))
+        quad = np.array([[b_entry_quadrature(fld, ui, uj) for uj in basis.functions] for ui in basis.functions])
+        oracle = np.diag([f.alpha for f in basis.functions]) - quad
+        assembled = assemble(w43, 25, AssemblyConfig(nx=128, ny=128)).entries
+        assert np.max(np.abs(assembled - oracle)) <= 1e-9
 
     def test_grid_escalation_for_peaked_potential(self):
         from wente_index.surface import catalog_surface
@@ -207,18 +251,18 @@ class TestAssemble:
     def test_provenance_recorded(self, w32, fast_cfg):
         mat = assemble(w32, 13, fast_cfg)
         assert mat.provenance["surface"] == "3/2"
-        assert mat.provenance["method"] == "fourier"
+        assert "method" not in mat.provenance
         assert mat.provenance["nx"] == 256
 
-    def test_required_waves_cover_assembly(self, w32, w43):
-        # assembling with exactly the reported extent must not raise
+    def test_potential_field_covers_assembly(self, w32, w43):
+        # the field sampled for a basis has exactly the extent its products reach
         for p, m in ((w32, 41), (w43, 49)):
-            need_x, need_y = required_waves(p, m)
-            fld = sample_potential(p, 256, 256, need_x, need_y)
             basis = enumerate_basis(lattice(p), m)
-            for f in basis.functions:
-                b_entry_fourier(fld, f, basis[0])
-                b_entry_fourier(fld, f, f)
+            fld = potential_field(p, basis.functions, AssemblyConfig(nx=256, ny=256))
+            b_matrix(fld, basis.functions)
+            widest = max(basis.functions, key=lambda f: abs(f.wave_y))
+            with pytest.raises(CoefficientRangeError):
+                b_matrix(dataclasses.replace(fld, coeffs=fld.coeffs[:, :-1]), [widest])
 
 
 class TestCache:
@@ -241,10 +285,7 @@ class TestCache:
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 13)
-        for i in range(13):
-            assert b_entry_fourier(loaded, basis[i], basis[i]) == b_entry_fourier(
-                fld, basis[i], basis[i]
-            )
+        assert np.array_equal(b_matrix(loaded, basis.functions), b_matrix(fld, basis.functions))
 
     def test_quadrature_requires_grid(self, w32, tmp_path):
         fld = sample_potential(w32, 128, 128, 12, 12)
@@ -287,3 +328,30 @@ class TestCache:
         finer = cached_sample_potential(w32, 256, 256, tmp_path, 8, 8)
         assert finer.nx == 256
         assert len(list(tmp_path.glob("*.wntpot"))) == 2
+
+    def test_cache_hits_only_the_exact_table_shape(self, w32, tmp_path):
+        # a larger stored table would change the transform's low bits
+        cached_sample_potential(w32, 128, 128, tmp_path, 12, 12)
+        smaller = cached_sample_potential(w32, 128, 128, tmp_path, 4, 4)
+        assert smaller.coeffs.shape == (5, 5)
+        assert np.array_equal(smaller.coeffs, sample_potential(w32, 128, 128, 4, 4).coeffs)
+        assert len(list(tmp_path.glob("*.wntpot"))) == 2
+
+    @pytest.mark.parametrize("damage", ["truncate", "magic", "version"])
+    def test_unreadable_file_is_a_miss_and_rewritten(self, w32, tmp_path, damage):
+        fresh = cached_sample_potential(w32, 128, 128, tmp_path, 8, 8)
+        (path,) = tmp_path.glob("*.wntpot")
+        raw = path.read_bytes()
+        if damage == "truncate":
+            path.write_bytes(raw[:40])
+        elif damage == "magic":
+            path.write_bytes(b"XXXXXX" + raw[6:])
+        else:
+            path.write_bytes(raw[:6] + (99).to_bytes(2, "little") + raw[8:])
+        again = cached_sample_potential(w32, 128, 128, tmp_path, 8, 8)
+        assert np.array_equal(again.coeffs, fresh.coeffs)
+        assert path.read_bytes() == raw
+
+    def test_write_leaves_only_the_cache_file(self, w32, tmp_path):
+        cached_sample_potential(w32, 128, 128, tmp_path, 8, 8)
+        assert [p.suffix for p in tmp_path.iterdir()] == [".wntpot"]

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wente_index.assembly import AssemblyConfig
+import wente_index.assembly as assembly_mod
+import wente_index.bounds as bounds_mod
+from wente_index.assembly import AssemblyConfig, assemble
 from wente_index.bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -92,6 +94,17 @@ class TestSubspace:
         verdict = subspace_bound(w43, SUBSPACE_SETS["4/3"], fast_cfg)
         assert verdict.negative_definite
         assert verdict.implied_lower == 9
+
+    @pytest.mark.parametrize("surface,m", [("w32", 41), ("w43", 49)])
+    def test_matrix_on_shared_field_is_block_of_assemble(self, surface, m, request):
+        p = request.getfixturevalue(surface)
+        fld = request.getfixturevalue(f"{surface}_field")
+        indices = SUBSPACE_SETS[p.label]
+        sub = subspace_matrix(p, indices, fld=fld)
+        pos = [i - 1 for i in indices]
+        block = assemble(p, m, fld=fld).entries[np.ix_(pos, pos)]
+        assert np.array_equal(sub, block)
+        assert np.array_equal(np.signbit(sub), np.signbit(block))
 
     def test_w43_matrix_matches_published_entries(self, w43, fast_cfg):
         mat = subspace_matrix(w43, SUBSPACE_SETS["4/3"], fast_cfg)
@@ -202,6 +215,32 @@ class TestFullReport:
         broken = dataclasses.replace(report, sandwich_upper=1)
         with pytest.raises(ConsistencyError):
             _check_consistency(broken)
+
+    def test_samples_potential_once_cold_and_never_warm(self, w32, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        original = assembly_mod.sample_potential
+
+        def counting(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(assembly_mod, "sample_potential", counting)
+        monkeypatch.setattr(bounds_mod, "sample_potential", counting)
+        cfg = AssemblyConfig(nx=256, ny=256, cache_dir=tmp_path)
+        cold = full_report(w32, 41, cfg)
+        assert calls["n"] == 1
+        warm = full_report(w32, 41, cfg)
+        assert calls["n"] == 1
+        assert warm == cold
+        full_report(w32, 41, AssemblyConfig(nx=256, ny=256))
+        assert calls["n"] == 2
+
+    def test_explicit_zero_tol_drives_every_count(self, w32):
+        default = full_report(w32, 41)
+        wide = full_report(w32, 41, zero_tol=1.0)
+        assert wide.zero_tol == 1.0
+        assert wide.galerkin_k + wide.uncertain_count >= default.galerkin_k
+        assert wide.negative_range[1] < -1.0
 
     def test_h_independence_of_counts(self):
         from wente_index.surface import build_surface

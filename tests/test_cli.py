@@ -19,7 +19,8 @@ class TestReport:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert "method" not in payload["config"]
         (report,) = payload["reports"]
         assert report["index_estimate"] == [10, 11]
         assert report["m_used"] == 181
@@ -36,14 +37,17 @@ class TestReport:
         payload = json.loads(out)
         assert payload["reports"][0]["m_used"] == 81
 
-    def test_method_both_reports_discrepancy(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "report", "--surface", "4/3", "--m", "81", "--grid", "128", "--method", "both",
-        )
-        assert code == 0
-        report = json.loads(out)["reports"][0]
-        assert report["method_discrepancy"] <= 1e-9
+    @pytest.mark.parametrize("command", ["report", "table3"])
+    @pytest.mark.parametrize("m", ["0", "-3"])
+    def test_nonpositive_m_is_usage_error(self, capsys, command, m):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--surface", "3/2", "--m", m])
+        assert info.value.code == 2
+
+    def test_method_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "3/2", "--method", "fourier"])
+        assert info.value.code == 2
 
     def test_unreduced_fraction_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -142,6 +146,28 @@ class TestCache:
         assert list(tmp_path.glob("*.wntpot"))
         _, warm, _ = run_cli(capsys, *args)
         assert cold == warm
+
+    def test_truncated_cache_file_is_rewritten(self, capsys, tmp_path):
+        args = (
+            "report", "--surface", "3/2", "--m", "41", "--grid", "256",
+            "--cache-dir", str(tmp_path),
+        )
+        _, cold, _ = run_cli(capsys, *args)
+        (path,) = tmp_path.glob("*.wntpot")
+        intact = path.read_bytes()
+        path.write_bytes(intact[: len(intact) // 2])
+        code, again, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert again == cold
+        assert path.read_bytes() == intact
+
+    def test_smaller_m_after_larger_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        args = ("report", "--surface", "3/2", "--grid", "256", "--m")
+        _, uncached, _ = run_cli(capsys, *args, "41")
+        monkeypatch.setenv("WENTE_CACHE_DIR", str(tmp_path))
+        run_cli(capsys, *args, "181")
+        _, after_larger, _ = run_cli(capsys, *args, "41")
+        assert after_larger == uncached
 
     def test_inspect_and_clear(self, capsys, tmp_path):
         run_cli(

@@ -3,7 +3,7 @@ import pytest
 
 from wente_index.assembly import AssemblyConfig, assemble
 from wente_index.basis import enumerate_basis
-from wente_index.spectrum import count_negative, eigen_symmetric, nullity_diagnostic
+from wente_index.spectrum import eigen_symmetric, nullity_diagnostic
 from wente_index.surface import build_surface, lattice
 
 
@@ -60,13 +60,14 @@ class TestEigenSymmetric:
 
 class TestCounting:
     def test_explicit_tolerance(self):
-        est = eigen_symmetric(np.diag([-1e-3, -1e-9, 1e-9, 5.0]))
-        count, uncertain = count_negative(est, zero_tol=1e-6)
-        assert (count, uncertain) == (1, 2)
+        est = eigen_symmetric(np.diag([-1e-3, -1e-9, 1e-9, 5.0]), zero_tol=1e-6)
+        assert (est.negative_count, est.uncertain_count) == (1, 2)
+        assert est.zero_tol == 1e-6
+        assert est.first_positive_six == (5.0,)
 
     def test_all_positive(self):
-        est = eigen_symmetric(np.diag([0.5, 1.0, 2.0]))
-        assert count_negative(est, 1e-9) == (0, 0)
+        est = eigen_symmetric(np.diag([0.5, 1.0, 2.0]), 1e-9)
+        assert (est.negative_count, est.uncertain_count) == (0, 0)
 
     def test_default_band_scales_with_norm(self):
         est = eigen_symmetric(np.diag([-5.0, 1e-8, 1e6]))
