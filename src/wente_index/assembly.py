@@ -1,18 +1,20 @@
 """Assembly of the truncated stability operator A_m = (alpha_i d_ij - b_ij).
 
-b_ij integrates V u_i u_j over a fundamental rectangle of the torus:
-[0, n x_period) x [0, y_period) for odd l, and [0, n x_period / 2) x
-[0, y_period) for even l (an equivalent fundamental domain on which every
-integrand is a finite trigonometric sum, so nothing is lost by the change).
+b_ij integrates V u_i u_j over the torus.  V has x-period x_period/2 and
+y-period y_period/2 (cn flips sign over a half period and V is even in it),
+so everything assembly needs is the cosine-coefficient table of V on its own
+period cell [0, x_period/2) x [0, y_period/2); the table does not depend on
+the lattice parity of the torus.
 
 One vectorized gather produces the entries for any sequence of basis
-functions from a single cosine-coefficient table of V: b_matrix returns
-b_ij, stability_matrix the restricted form, and the full matrix, subspace
-restrictions and the greedy search all come from it.
+functions from that table: b_matrix returns b_ij, stability_matrix the
+restricted form, and the full matrix, subspace restrictions and the greedy
+search all come from it.
 
-b_entry_quadrature applies the periodic trapezoid rule to one entry on the
-same grid.  There it is the same discrete Fourier transform as the table,
-so it checks the gather, not aliasing; it is kept as the test oracle.
+b_entry_quadrature applies the periodic trapezoid rule to one entry, with
+the cell samples tiled over a fundamental domain of the torus.  There it is
+the same discrete Fourier transform as the table, so it checks the gather,
+not aliasing; it is kept as the test oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisFunction, enumerate_basis
-from .surface import SurfaceParams, build_surface, lattice, potential_extrema, potential_grid
+from .surface import SurfaceParams, build_surface, lattice, potential_grid
 
 __all__ = [
     "AssemblyConfig",
@@ -47,12 +49,10 @@ __all__ = [
     "read_field_cache",
 ]
 
-DEFAULT_GRID = 1024
-# Sharply peaked potentials (V_max in the thousands) get a denser grid so
-# that coefficient aliasing stays below the acceptance tolerances.
-ESCALATION_VMAX = 1.0e3
-ESCALATED_GRID = 4096
-DEFAULT_MAX_WAVE = 64
+# Samples per period cell; resolves every catalogued potential (and theta up
+# to 24.5 degrees) to about 1e-11 relative.
+DEFAULT_GRID = 256
+DEFAULT_MAX_FREQUENCY = 64
 
 
 class CoefficientRangeError(ValueError):
@@ -65,75 +65,52 @@ class NyquistError(ValueError):
 
 @dataclass(frozen=True)
 class AssemblyConfig:
-    nx: int | None = None
-    ny: int | None = None
+    nx: int = DEFAULT_GRID
+    ny: int = DEFAULT_GRID
     cache_dir: "str | Path | None" = None
-
-    def grids_for(self, p: SurfaceParams) -> tuple[int, int]:
-        if self.nx is not None and self.ny is not None:
-            return self.nx, self.ny
-        _, v_max = potential_extrema(p)
-        auto = ESCALATED_GRID if v_max > ESCALATION_VMAX else DEFAULT_GRID
-        return self.nx or auto, self.ny or auto
 
 
 @dataclass(frozen=True)
 class PotentialField:
-    """V sampled on the fundamental rectangle plus its cosine coefficients.
+    """V sampled on its period cell plus its cosine coefficients.
 
-    coeffs[P, Q] approximates (1/area) * integral of
-    V cos(2 pi P x / width) cos(2 pi Q y / height) over the rectangle,
-    indexed by the rectangle's own integer frequencies.
+    coeffs[P, Q] approximates the cell average of
+    V cos(2 pi P x / (x_period / 2)) cos(2 pi Q y / (y_period / 2)).
+    grid holds the nx x ny cell samples (None when loaded from the cache).
     """
 
     surface: SurfaceParams
     nx: int
     ny: int
-    width: float
-    height: float
     coeffs: np.ndarray
     grid: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def parity(self) -> str:
-        return "odd" if self.surface.ell % 2 == 1 else "even"
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.nx) * (self.width / self.nx)
-
-    @property
-    def y(self) -> np.ndarray:
-        return np.arange(self.ny) * (self.height / self.ny)
-
-    @property
     def area(self) -> float:
-        return self.width * self.height
+        """Area of the torus, the domain every b_ij integrates over."""
+        return abs(lattice(self.surface).cell_area)
 
     def cos_coefficient(self, wave_x, wave_y) -> np.ndarray:
         """(1/area) integral of V cos(2 pi (wave_x x / (n x_period) + wave_y y / y_period)).
 
         Elementwise over integer arrays (or scalars) of equal shape.  Wave
         integers are measured against (n x_period, y_period) as in the basis
-        enumeration.  The potential has x-period x_period/2 and y-period
-        y_period/2 (cn flips sign over a half period and V is even in it),
-        so its spectrum lives on wave multiples of (2n, 2); every other
-        coefficient is structurally zero and returned as exact 0.0.  An
-        on-lattice coefficient beyond the stored table raises
-        CoefficientRangeError.
+        enumeration, so the cell frequencies (P, Q) sit at the waves
+        (2n P, 2 Q); every other coefficient is structurally zero and
+        returned as exact 0.0.  An on-lattice coefficient beyond the stored
+        table raises CoefficientRangeError.
         """
         a = np.abs(np.asarray(wave_x, dtype=np.int64))
         b = np.abs(np.asarray(wave_y, dtype=np.int64))
+        step = 2 * self.surface.n
+        rows, cols = a.max() // step + 1, b.max() // 2 + 1
         # lookup table by wave integer: exact zeros off the lattice, NaN on
         # lattice waves whose coefficient lies beyond the stored table
-        rows = np.arange(0, a.max() + 1, 2 * self.surface.n)
-        cols = np.arange(0, b.max() + 1, 2)
-        stored = rows // 2 if self.parity == "even" else rows
         pdim, qdim = self.coeffs.shape
-        padded = np.full((pdim + 1, qdim + 1), np.nan)
+        padded = np.full((max(rows, pdim), max(cols, qdim)), np.nan)
         padded[:pdim, :qdim] = self.coeffs
         table = np.zeros((a.max() + 1, b.max() + 1))
-        table[np.ix_(rows, cols)] = padded[np.ix_(np.minimum(stored, pdim), np.minimum(cols, qdim))]
+        table[::step, ::2] = padded[:rows, :cols]
         values = table[a, b]
         missing = np.isnan(values)
         if missing.any():
@@ -166,45 +143,35 @@ def _transform_vectors(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-def _rectangle(p: SurfaceParams) -> tuple[float, float]:
-    width = p.n * p.x_period
-    if p.ell % 2 == 0:
-        width *= 0.5
-    return width, p.y_period
-
-
-def _table_shape(nx: int, ny: int, max_wave_x: int, max_wave_y: int) -> tuple[int, int]:
+def _table_shape(nx: int, ny: int, pmax: int, qmax: int) -> tuple[int, int]:
     """Shape of the stored coefficient table: the requested extent, capped below Nyquist."""
-    return min(max_wave_x, nx // 2 - 1) + 1, min(max_wave_y, ny // 2 - 1) + 1
+    return min(pmax, nx // 2 - 1) + 1, min(qmax, ny // 2 - 1) + 1
 
 
 def sample_potential(
     p: SurfaceParams,
     nx: int = DEFAULT_GRID,
     ny: int = DEFAULT_GRID,
-    max_wave_x: int = DEFAULT_MAX_WAVE,
-    max_wave_y: int = DEFAULT_MAX_WAVE,
+    pmax: int = DEFAULT_MAX_FREQUENCY,
+    qmax: int = DEFAULT_MAX_FREQUENCY,
 ) -> PotentialField:
-    """Sample V on the fundamental rectangle and tabulate cosine coefficients.
+    """Sample V on its period cell and tabulate cosine coefficients.
 
     nx, ny must be powers of two, at least 64.  The stored table covers
-    rectangle frequencies up to (max_wave_x, max_wave_y), capped below the
-    Nyquist index of the grid.
+    cell frequencies up to (pmax, qmax), capped below the Nyquist index of
+    the grid.
     """
     for label, n in (("nx", nx), ("ny", ny)):
         if n < 64 or (n & (n - 1)) != 0:
             raise ValueError(f"{label} must be a power of two >= 64, got {n}")
-    width, height = _rectangle(p)
-    x = np.arange(nx) * (width / nx)
-    y = np.arange(ny) * (height / ny)
+    x = np.arange(nx) * (0.5 * p.x_period / nx)
+    y = np.arange(ny) * (0.5 * p.y_period / ny)
     grid = potential_grid(p, x, y)
-    pdim, qdim = _table_shape(nx, ny, max_wave_x, max_wave_y)
+    pdim, qdim = _table_shape(nx, ny, pmax, qmax)
     cx, _ = _transform_vectors(nx, pdim - 1)
     cy, _ = _transform_vectors(ny, qdim - 1)
     coeffs = (cx.T @ grid @ cy) / (nx * ny)
-    return PotentialField(
-        surface=p, nx=nx, ny=ny, width=width, height=height, coeffs=coeffs, grid=grid
-    )
+    return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
 
 
 def potential_field(
@@ -212,33 +179,40 @@ def potential_field(
 ) -> PotentialField:
     """V on the configured grid, with a table covering every product of the functions.
 
-    A product reaches the sum of two wave pairs; the even-parity rectangle
-    is half as wide, so its x frequencies are half the wave integers.
+    A product reaches the sum of two wave pairs; the wave (2n P, 2 Q) is
+    the cell frequency (P, Q).
     """
-    need_x = 2 * max(abs(f.wave_x) for f in functions)
-    need_y = 2 * max(abs(f.wave_y) for f in functions)
-    if p.ell % 2 == 0:
-        need_x //= 2
-    nx, ny = cfg.grids_for(p)
-    return cached_sample_potential(p, nx, ny, cfg.cache_dir, need_x, need_y)
+    reach_x = 2 * max(abs(f.wave_x) for f in functions)
+    reach_y = 2 * max(abs(f.wave_y) for f in functions)
+    return cached_sample_potential(
+        p, cfg.nx, cfg.ny, cfg.cache_dir, reach_x // (2 * p.n), reach_y // 2
+    )
 
 
 def b_entry_quadrature(fld: PotentialField, ui: BasisFunction, uj: BasisFunction) -> float:
-    """b_ij by the periodic trapezoid rule on the field's own grid (test oracle)."""
+    """b_ij by the periodic trapezoid rule on the field's own grid (test oracle).
+
+    The cell samples are tiled over the lattice rectangle [0, a1) x [0, b2),
+    a fundamental domain of the torus for either parity.
+    """
     if fld.grid is None:
         raise ValueError("field was loaded without grid samples; resample to use quadrature")
-    half = 0.5 if fld.parity == "even" else 1.0
-    cycles_x = (abs(ui.wave_x) + abs(uj.wave_x)) * half
-    cycles_y = float(abs(ui.wave_y) + abs(uj.wave_y))
-    if cycles_x >= fld.nx / 2 or cycles_y >= fld.ny / 2:
+    p = fld.surface
+    # wave w has frequency w / (n x_period) in x and the cell grid's Nyquist
+    # frequency is nx / x_period, so x resolves waves below n nx (y below ny)
+    reach_x = abs(ui.wave_x) + abs(uj.wave_x)
+    reach_y = abs(ui.wave_y) + abs(uj.wave_y)
+    if reach_x >= p.n * fld.nx or reach_y >= fld.ny:
         raise NyquistError(
-            f"grid {fld.nx}x{fld.ny} cannot resolve combined mode ({cycles_x}, {cycles_y}) cycles"
+            f"cell grid {fld.nx}x{fld.ny} cannot resolve combined wave ({reach_x}, {reach_y})"
         )
-    x = fld.x[:, None]
-    y = fld.y[None, :]
-    integrand = fld.grid * ui.values(x, y) * uj.values(x, y)
-    cell = (fld.width / fld.nx) * (fld.height / fld.ny)
-    return float(integrand.sum()) * cell
+    lat = lattice(p)
+    tiles = round(2.0 * lat.a1 / p.x_period), round(2.0 * lat.b2 / p.y_period)
+    dx, dy = 0.5 * p.x_period / fld.nx, 0.5 * p.y_period / fld.ny
+    x = (np.arange(tiles[0] * fld.nx) * dx)[:, None]
+    y = (np.arange(tiles[1] * fld.ny) * dy)[None, :]
+    integrand = np.tile(fld.grid, tiles) * ui.values(x, y) * uj.values(x, y)
+    return float(integrand.sum()) * dx * dy
 
 
 def _phase_blocks(fld: PotentialField, functions: Sequence[BasisFunction]):
@@ -326,14 +300,15 @@ def assemble(
 # --- potential-field cache -------------------------------------------------
 #
 # Binary layout: magic, version, the key (l, n, H, theta, nx, ny), the
-# rectangle, the coefficient table shape, then the raw float64 coefficients.
+# coefficient table shape, then the raw float64 coefficients.  Version 2
+# holds period-cell tables; files of any other version are a miss.
 # Raw bytes round-trip bit for bit, so a cache hit reproduces the assembly
 # exactly.  The transform's low bits depend on the table extent, so the
 # file name carries the table shape and only an exact match is a hit.
 
 _CACHE_MAGIC = b"WNTPOT"
-_CACHE_VERSION = 1
-_HEADER = struct.Struct("<6sH i i d d i i d d i i")
+_CACHE_VERSION = 2
+_HEADER = struct.Struct("<6sH i i d d i i i i")
 
 
 def field_cache_key(p: SurfaceParams, nx: int, ny: int) -> tuple:
@@ -352,8 +327,6 @@ def write_field_cache(fld: PotentialField, path: "str | Path") -> None:
         p.theta_degrees,
         fld.nx,
         fld.ny,
-        fld.width,
-        fld.height,
         fld.coeffs.shape[0],
         fld.coeffs.shape[1],
     )
@@ -375,7 +348,7 @@ def read_field_cache(path: "str | Path") -> PotentialField:
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated cache file")
-    magic, version, ell, n, big_h, theta, nx, ny, width, height, pdim, qdim = _HEADER.unpack(
+    magic, version, ell, n, big_h, theta, nx, ny, pdim, qdim = _HEADER.unpack(
         raw[: _HEADER.size]
     )
     if magic != _CACHE_MAGIC:
@@ -386,11 +359,7 @@ def read_field_cache(path: "str | Path") -> PotentialField:
     if len(raw) != expected:
         raise ValueError(f"{path}: cache payload size mismatch")
     coeffs = np.frombuffer(raw[_HEADER.size :], dtype="<f8").reshape(pdim, qdim).copy()
-    p = build_surface(ell, n, big_h, theta)
-    fld = PotentialField(
-        surface=p, nx=nx, ny=ny, width=width, height=height, coeffs=coeffs, grid=None
-    )
-    return fld
+    return PotentialField(surface=build_surface(ell, n, big_h, theta), nx=nx, ny=ny, coeffs=coeffs)
 
 
 def cached_sample_potential(
@@ -398,8 +367,8 @@ def cached_sample_potential(
     nx: int,
     ny: int,
     cache_dir: "str | Path | None",
-    max_wave_x: int = DEFAULT_MAX_WAVE,
-    max_wave_y: int = DEFAULT_MAX_WAVE,
+    pmax: int = DEFAULT_MAX_FREQUENCY,
+    qmax: int = DEFAULT_MAX_FREQUENCY,
 ) -> PotentialField:
     """sample_potential with a directory-backed cache of coefficient tables.
 
@@ -407,9 +376,9 @@ def cached_sample_potential(
     the file rewritten.
     """
     if cache_dir is None:
-        return sample_potential(p, nx, ny, max_wave_x, max_wave_y)
+        return sample_potential(p, nx, ny, pmax, qmax)
     key = field_cache_key(p, nx, ny)
-    shape = _table_shape(nx, ny, max_wave_x, max_wave_y)
+    shape = _table_shape(nx, ny, pmax, qmax)
     name = "pot_{}_{}_H{}_t{}_{}x{}_c{}x{}.wntpot".format(*key, *shape)
     path = Path(cache_dir) / name
     try:
@@ -418,7 +387,7 @@ def cached_sample_potential(
         fld = None
     if fld is not None and field_cache_key(fld.surface, fld.nx, fld.ny) == key and fld.coeffs.shape == shape:
         return fld
-    fld = sample_potential(p, nx, ny, max_wave_x, max_wave_y)
+    fld = sample_potential(p, nx, ny, pmax, qmax)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_field_cache(fld, path)
     return fld

@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .assembly import AssemblyConfig, field_cache_key, read_field_cache
+from .assembly import DEFAULT_GRID, AssemblyConfig, field_cache_key, read_field_cache
 from .bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -41,7 +41,7 @@ from .reference import REFERENCE_ESTIMATES, REFERENCE_GEOMETRY, estimate_row
 from .spectrum import eigen_symmetric
 from .surface import CATALOG, ParameterError, build_surface, catalog_surface, potential_extrema
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 ENV_CACHE_DIR = "WENTE_CACHE_DIR"
 
 # Diff tolerances for the reference tables (matching the precision at which
@@ -108,9 +108,7 @@ def _run_config(args, **extra) -> dict:
 
 
 def _assembly_config(args) -> AssemblyConfig:
-    nx = ny = None
-    if getattr(args, "grid", None) is not None:
-        nx, ny = args.grid
+    nx, ny = getattr(args, "grid", None) or (DEFAULT_GRID, DEFAULT_GRID)
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
     return AssemblyConfig(nx=nx, ny=ny, cache_dir=cache_dir)
 
@@ -460,7 +458,12 @@ def cmd_cache(args) -> int:
     if args.action == "inspect":
         rows = []
         for path in entries:
-            fld = read_field_cache(path)
+            try:
+                fld = read_field_cache(path)
+            except (OSError, ValueError) as exc:
+                # reports treat such a file as a miss and rewrite it
+                rows.append({"file": path.name, "unreadable": str(exc)})
+                continue
             key = field_cache_key(fld.surface, fld.nx, fld.ny)
             rows.append(
                 {
@@ -479,12 +482,20 @@ def cmd_cache(args) -> int:
             "cache_dir": str(directory),
             "rows": rows,
         }
-        _emit(args, payload, lambda p: "\n".join(r["file"] for r in p["rows"]) or "(empty)")
+        _emit(args, payload, _render_cache_text)
         return 0
     for path in entries:
         path.unlink()
     print(f"removed {len(entries)} cached table(s) from {directory}")
     return 0
+
+
+def _render_cache_text(payload: dict) -> str:
+    lines = [
+        f"{r['file']}  (unreadable: {r['unreadable']})" if "unreadable" in r else r["file"]
+        for r in payload["rows"]
+    ]
+    return "\n".join(lines) or "(empty)"
 
 
 # --- parser ------------------------------------------------------------------
@@ -497,7 +508,10 @@ def _add_common(sub, grid=True, m=False) -> None:
     sub.add_argument("--cache-dir", default=None)
     sub.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
     if grid:
-        sub.add_argument("--grid", type=_parse_grid, default=None, help="N or NXxNY samples")
+        sub.add_argument(
+            "--grid", type=_parse_grid, default=None,
+            help=f"N or NXxNY samples per period cell of V (default {DEFAULT_GRID})",
+        )
     if m:
         sub.add_argument("--m", type=_positive_int, default=None, help="truncation size (default: reference size)")
     sub.add_argument("--zero-tol", type=float, default=None)

@@ -11,6 +11,7 @@ approach zero from above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,11 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
 
     Eigenvalues within zero_tol of zero (default ZERO_TOL_RELATIVE * ||A||)
     are counted as uncertain, the rest below it as negative.  Raises
-    ValueError when the input is not symmetric to rounding accuracy.
+    ValueError when the input is not symmetric to rounding accuracy, or when
+    zero_tol is negative or not finite (either would silently move the band).
     """
+    if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
+        raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
     mat = _matrix_of(a)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "catalog_surface",
     "catalog_theta",
     "load_catalog",
-    "write_catalog",
     "potential",
     "potential_extrema",
     "lattice",
@@ -46,32 +44,6 @@ __all__ = [
 
 THETA_BAR_DEGREES = 65.354955354
 THETA_MAX_DEGREES = 24.645044646  # theta + thetabar must stay below 90 degrees
-
-# Rotational-period angles theta (degrees) for the 19 catalogued surfaces.
-# theta is ingested data: the period problem that determines it is solved
-# upstream of this library and known to four decimals.
-CATALOG: tuple[tuple[int, int, float], ...] = (
-    (3, 2, 17.7324),
-    (4, 3, 12.7898),
-    (5, 3, 21.4807),
-    (5, 4, 9.9285),
-    (7, 4, 22.8449),
-    (6, 5, 8.0983),
-    (7, 5, 14.8978),
-    (8, 5, 20.1374),
-    (9, 5, 23.4867),
-    (7, 6, 6.8332),
-    (11, 6, 23.8382),
-    (8, 7, 5.9081),
-    (9, 7, 11.1844),
-    (10, 7, 15.7491),
-    (11, 7, 19.4966),
-    (12, 7, 22.3044),
-    (13, 7, 24.0512),
-    (21, 20, 2.1359),
-    (73, 72, 0.6005),
-)
-
 
 class ParameterError(ValueError):
     """Raised for surface labels or angles outside the admissible range."""
@@ -140,8 +112,8 @@ def build_surface(ell: int, n: int, H: float = 0.5, theta_degrees: float | None 
     are converted to radians exactly once, here.
     """
     _validate_label(ell, n)
-    if H <= 0.0:
-        raise ParameterError(f"mean curvature must be positive, got {H}")
+    if not (math.isfinite(H) and H > 0.0):
+        raise ParameterError(f"mean curvature must be positive and finite, got {H}")
     if theta_degrees is None:
         theta_degrees = catalog_theta(ell, n)
     if not (0.0 < theta_degrees < THETA_MAX_DEGREES):
@@ -211,10 +183,10 @@ def load_catalog(path: "str | Path") -> tuple[tuple[int, int, float], ...]:
     return tuple(rows)
 
 
-def write_catalog(path: "str | Path", rows: Iterable[tuple[int, int, float]] = CATALOG) -> None:
-    lines = ["# l  n  theta_degrees"]
-    lines += [f"{ell} {n} {theta}" for ell, n, theta in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+# Rotational-period angles theta (degrees) for the 19 catalogued surfaces.
+# theta is ingested data: the period problem that determines it is solved
+# upstream of this library and known to four decimals.
+CATALOG: tuple[tuple[int, int, float], ...] = load_catalog(Path(__file__).with_name("data") / "catalog.txt")
 
 
 def potential(p: SurfaceParams, x, y):

@@ -22,17 +22,17 @@ def w76():
 
 @pytest.fixture(scope="session")
 def w32_field(w32):
-    return sample_potential(w32, 256, 256, max_wave_x=40, max_wave_y=40)
+    return sample_potential(w32, 64, 64, pmax=31, qmax=31)
 
 
 @pytest.fixture(scope="session")
 def w43_field(w43):
-    return sample_potential(w43, 256, 256, max_wave_x=40, max_wave_y=40)
+    return sample_potential(w43, 64, 64, pmax=31, qmax=31)
 
 
 @pytest.fixture(scope="session")
 def fast_cfg():
-    """Assembly on a modest grid: plenty for the gentle potentials in tests."""
+    """Assembly on the default cell grid, written out."""
     return AssemblyConfig(nx=256, ny=256)
 
 

@@ -195,7 +195,7 @@ def test_criterion_7_route_equivalence():
         p = catalog_surface(ell, n)
         m = 85 if p.ell % 2 == 1 else 81
         basis = enumerate_basis(lattice(p), m)
-        fld = potential_field(p, basis.functions, AssemblyConfig(nx=512, ny=512))
+        fld = potential_field(p, basis.functions, AssemblyConfig(nx=64, ny=64))
         gathered = b_matrix(fld, basis.functions)
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(0, m, size=2))

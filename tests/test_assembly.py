@@ -20,7 +20,7 @@ from wente_index.assembly import (
     cached_sample_potential,
 )
 from wente_index.basis import enumerate_basis
-from wente_index.surface import lattice, potential_extrema
+from wente_index.surface import build_surface, lattice, potential_extrema, potential_grid
 
 # The published 9x9 restriction for the 3/2 torus is diagonal; entries are
 # printed to three significant figures.
@@ -35,13 +35,13 @@ def _entry(fld, ui, uj):
 
 def _loop_assemble(fld, basis):
     """Entry-by-entry reference: the scalar formula the kernel must reproduce bit for bit."""
-    n, even = fld.surface.n, fld.surface.ell % 2 == 0
+    n = fld.surface.n
 
     def coeff(wave_x, wave_y):
         a, b = abs(wave_x), abs(wave_y)
         if a % (2 * n) != 0 or b % 2 != 0:
             return 0.0
-        return float(fld.coeffs[a // 2 if even else a, b])
+        return float(fld.coeffs[a // (2 * n), b // 2])
 
     m = len(basis)
     a = np.zeros((m, m))
@@ -61,15 +61,29 @@ def _loop_assemble(fld, basis):
     return a
 
 
-def _constant_field(p, value, nx=128, ny=128):
+def _constant_field(p, value, nx=64, ny=64):
     """A PotentialField as if V were identically `value` (for contract tests)."""
-    width = p.n * p.x_period * (0.5 if p.ell % 2 == 0 else 1.0)
     grid = np.full((nx, ny), float(value))
-    coeffs = np.zeros((33, 33))
+    coeffs = np.zeros((32, 32))
     coeffs[0, 0] = float(value)
-    return PotentialField(
-        surface=p, nx=nx, ny=ny, width=width, height=p.y_period, coeffs=coeffs, grid=grid
-    )
+    return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
+
+
+def _rectangle_coeffs(p, cell_nx, cell_ny, pmax, qmax):
+    """Cosine table of V over the torus rectangle, by rectangle frequency.
+
+    The layout cell sampling replaced: [0, n x_period) x [0, y_period) for
+    odd l and half as wide for even l, sampled at the cell's spacing.  Cell
+    frequency (P, Q) is rectangle frequency (cells_x P, 2 Q); the table runs
+    to (cells_x pmax, 2 qmax).  Returns the table and cells_x.
+    """
+    cells_x = p.n if p.ell % 2 == 0 else 2 * p.n
+    nx, ny = cells_x * cell_nx, 2 * cell_ny
+    width = p.n * p.x_period * (0.5 if p.ell % 2 == 0 else 1.0)
+    grid = potential_grid(p, np.arange(nx) * (width / nx), np.arange(ny) * (p.y_period / ny))
+    cx = np.cos(2.0 * np.pi * np.outer(np.arange(nx), np.arange(cells_x * pmax + 1)) / nx)
+    cy = np.cos(2.0 * np.pi * np.outer(np.arange(ny), np.arange(2 * qmax + 1)) / ny)
+    return (cx.T @ grid @ cy) / (nx * ny), cells_x
 
 
 class TestSampling:
@@ -90,16 +104,24 @@ class TestSampling:
         assert w32_field.sine_channel_max(12, 12) < 1e-10
         assert w43_field.sine_channel_max(12, 12) < 1e-10
 
-    def test_off_lattice_coefficients_vanish(self, w32_field):
-        # V carries rectangle frequencies that are multiples of (2n, 2) in
-        # wave units; everything else in the raw table is quadrature noise.
-        raw = w32_field.coeffs
-        n = w32_field.surface.n
-        for p_idx in range(12):
-            for q_idx in range(12):
-                if p_idx % (2 * n) == 0 and q_idx % 2 == 0:
-                    continue
-                assert abs(raw[p_idx, q_idx]) < 1e-10, (p_idx, q_idx)
+    def test_off_lattice_coefficients_vanish(self, w32, w43):
+        # over the whole torus rectangle V carries only the frequencies of
+        # its period cell; everything else is quadrature noise, which is why
+        # sampling one cell loses nothing
+        for p in (w32, w43):
+            rect, step = _rectangle_coeffs(p, 64, 64, 3, 6)
+            off = np.ones(rect.shape, dtype=bool)
+            off[::step, ::2] = False
+            assert np.max(np.abs(rect[off])) < 1e-10, p.label
+
+    @pytest.mark.parametrize("surface", ["w32", "w43"])
+    def test_cell_table_matches_rectangle_transform(self, surface, request):
+        p = request.getfixturevalue(surface)
+        cell = sample_potential(p, 64, 64, 8, 8).coeffs
+        rect, step = _rectangle_coeffs(p, 64, 64, 8, 8)
+        on = rect[::step, ::2]
+        assert on.shape == cell.shape
+        assert np.max(np.abs(on - cell)) <= 1e-12 * np.max(np.abs(cell))
 
     def test_structural_zeros_are_exact(self, w32_field):
         assert w32_field.cos_coefficient(1, 0) == 0.0
@@ -112,16 +134,23 @@ class TestSampling:
         looked_up = w32_field.cos_coefficient(waves_x, waves_y)
         for wx, wy, value in zip(waves_x.flat, waves_y.flat, looked_up.flat):
             on_lattice = wx % (2 * n) == 0 and wy % 2 == 0
-            assert value == (w32_field.coeffs[abs(wx), abs(wy)] if on_lattice else 0.0)
+            expected = w32_field.coeffs[abs(wx) // (2 * n), abs(wy) // 2] if on_lattice else 0.0
+            assert value == expected
 
-    def test_even_parity_rectangle_is_half_width(self, w43_field, w43):
-        assert w43_field.width == pytest.approx(w43.n * w43.x_period / 2, rel=1e-15)
+    def test_area_is_the_torus_area(self, w32_field, w43_field):
+        for fld in (w32_field, w43_field):
+            p = fld.surface
+            assert fld.area == lattice(p).cell_area
+            # the lattice rectangle: 2n (odd l) or n (even l) cells wide, 2 high
+            cells_x = 2 * p.n if p.ell % 2 == 1 else p.n
+            assert fld.area == pytest.approx(cells_x * 0.5 * p.x_period * p.y_period, rel=1e-15)
 
     def test_coefficient_range_error(self, w32):
-        fld = sample_potential(w32, 128, 128, max_wave_x=2, max_wave_y=2)
-        ui = enumerate_basis(lattice(w32), 13)[5]  # wave (2, 0), sine
+        fld = sample_potential(w32, 128, 128, pmax=0, qmax=2)
+        basis = enumerate_basis(lattice(w32), 13)
+        b_matrix(fld, [basis[4]])  # wave (0, 1): its sums stay within the table
         with pytest.raises(CoefficientRangeError):
-            b_matrix(fld, [ui])  # wave sum (4, 0) is off the table
+            b_matrix(fld, [basis[5]])  # wave (2, 0): sum (4, 0) is cell frequency (1, 0)
 
 
 class TestEntries:
@@ -183,11 +212,14 @@ class TestEntries:
             assert abs(bf - bq) <= 1e-9 * max(1.0, abs(bf)), (i, j)
 
     def test_nyquist_guard(self, w32):
-        fld = sample_potential(w32, 64, 64, max_wave_x=31, max_wave_y=31)
+        # 64 samples per cell resolve y waves below 64; the pair reaches 2 * 32
+        fld = sample_potential(w32, 64, 64, pmax=31, qmax=31)
         basis = enumerate_basis(lattice(w32), 2113)
-        high = max(basis.functions, key=lambda f: f.wave_x)
+        high = max(basis.functions, key=lambda f: abs(f.wave_y))
+        assert abs(high.wave_y) == 32
         with pytest.raises(NyquistError):
             b_entry_quadrature(fld, high, high)
+        b_entry_quadrature(sample_potential(w32, 64, 128, 1, 1), high, high)
 
 
 class TestAssemble:
@@ -234,19 +266,26 @@ class TestAssemble:
 
     def test_quadrature_oracle_matches_assemble(self, w43):
         basis = enumerate_basis(lattice(w43), 25)
-        fld = potential_field(w43, basis.functions, AssemblyConfig(nx=128, ny=128))
+        cfg = AssemblyConfig(nx=64, ny=64)
+        fld = potential_field(w43, basis.functions, cfg)
         quad = np.array([[b_entry_quadrature(fld, ui, uj) for uj in basis.functions] for ui in basis.functions])
         oracle = np.diag([f.alpha for f in basis.functions]) - quad
-        assembled = assemble(w43, 25, AssemblyConfig(nx=128, ny=128)).entries
+        assembled = assemble(w43, 25, cfg).entries
         assert np.max(np.abs(assembled - oracle)) <= 1e-9
 
-    def test_grid_escalation_for_peaked_potential(self):
-        from wente_index.surface import catalog_surface
-
-        p = catalog_surface(13, 7)
-        assert potential_extrema(p)[1] > 1e3
-        assert AssemblyConfig().grids_for(p) == (4096, 4096)
-        assert AssemblyConfig().grids_for(catalog_surface(3, 2)) == (1024, 1024)
+    @pytest.mark.parametrize("ell,n,theta,rtol", [(13, 7, None, 1e-13), (3, 2, 24.5, 1e-10)])
+    def test_default_grid_is_converged_for_peaked_potential(self, ell, n, theta, rtol):
+        # the sharpest catalogued potential and a sharper one near the
+        # largest admissible theta: doubling the default cell grid moves the
+        # table at a report's extent by no more than rtol of its largest entry
+        p = build_surface(ell, n, 0.5, theta)
+        assert potential_extrema(p)[1] > 2e4
+        functions = enumerate_basis(lattice(p), 181).functions
+        default = potential_field(p, functions, AssemblyConfig())
+        doubled = potential_field(p, functions, AssemblyConfig(nx=512, ny=512))
+        assert default.nx == 256 and default.coeffs.shape == doubled.coeffs.shape
+        scale = np.max(np.abs(doubled.coeffs))
+        assert np.max(np.abs(default.coeffs - doubled.coeffs)) <= rtol * scale
 
     def test_provenance_recorded(self, w32, fast_cfg):
         mat = assemble(w32, 13, fast_cfg)
@@ -272,8 +311,7 @@ class TestCache:
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         assert np.array_equal(loaded.coeffs, fld.coeffs)
-        assert loaded.width == fld.width
-        assert loaded.height == fld.height
+        assert loaded.area == fld.area
         assert field_cache_key(loaded.surface, loaded.nx, loaded.ny) == field_cache_key(
             w32, 128, 128
         )

@@ -176,7 +176,7 @@ class TestFullReport:
         assert report.index_estimate == (53, 54)
 
     def test_w137_reference_row(self):
-        # the sharpest potential in the catalog; exercises the dense-grid path
+        # the sharpest potential in the catalog, on the default cell grid
         report = full_report(catalog_surface(13, 7), 181)
         assert report.index_estimate == (27, 28)
         assert report.negative_range[0] == pytest.approx(-503.0, rel=0.02)

@@ -19,7 +19,7 @@ class TestReport:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 2
+        assert payload["schema_version"] == 3
         assert "method" not in payload["config"]
         (report,) = payload["reports"]
         assert report["index_estimate"] == [10, 11]
@@ -53,6 +53,22 @@ class TestReport:
         with pytest.raises(SystemExit) as info:
             main(["report", "--surface", "9/9"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-3", "inf"])
+    def test_bad_zero_tol_is_usage_error(self, capsys, tol):
+        # nan counted no eigenvalue negative; a negative band moved the
+        # "negative" threshold above zero
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "3/2", "--m", "41", f"--zero-tol={tol}"])
+        assert info.value.code == 2
+        assert "zero_tol must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("big_h", ["nan", "inf"])
+    def test_non_finite_mean_curvature_is_usage_error(self, capsys, big_h):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "3/2", "-H", big_h])
+        assert info.value.code == 2
+        assert "mean curvature must be positive and finite" in capsys.readouterr().err
 
     def test_text_format(self, capsys):
         code, out, _ = run_cli(
@@ -181,6 +197,28 @@ class TestCache:
         assert payload["rows"][0]["surface"] == "3/2"
         code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
         assert code == 0
+        assert not list(tmp_path.glob("*.wntpot"))
+
+    def test_inspect_lists_unreadable_files(self, capsys, tmp_path):
+        args = ("report", "--surface", "3/2", "--m", "41", "--cache-dir", str(tmp_path))
+        run_cli(capsys, *args)
+        (good,) = tmp_path.glob("*.wntpot")
+        raw = good.read_bytes()
+        # a file from another cache version, and one cut short
+        (tmp_path / "a_other_version.wntpot").write_bytes(raw[:6] + (1).to_bytes(2, "little") + raw[8:])
+        (tmp_path / "b_truncated.wntpot").write_bytes(raw[:20])
+        code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+        assert code == 0
+        rows = {r["file"]: r for r in json.loads(out)["rows"]}
+        assert "unsupported cache version 1" in rows["a_other_version.wntpot"]["unreadable"]
+        assert "truncated cache file" in rows["b_truncated.wntpot"]["unreadable"]
+        assert rows[good.name]["surface"] == "3/2" and "unreadable" not in rows[good.name]
+        code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path), "--format", "text")
+        assert code == 0
+        assert "b_truncated.wntpot  (unreadable: " in out
+        code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert "removed 3" in out
         assert not list(tmp_path.glob("*.wntpot"))
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):

@@ -65,6 +65,15 @@ class TestCounting:
         assert est.zero_tol == 1e-6
         assert est.first_positive_six == (5.0,)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+    def test_rejects_band_that_moves_the_threshold(self, tol):
+        with pytest.raises(ValueError, match="zero_tol"):
+            eigen_symmetric(np.diag([-1e-3, 5.0]), zero_tol=tol)
+
+    def test_zero_band_is_allowed(self):
+        est = eigen_symmetric(np.diag([-1e-3, 0.0, 5.0]), zero_tol=0.0)
+        assert (est.negative_count, est.uncertain_count) == (1, 1)
+
     def test_all_positive(self):
         est = eigen_symmetric(np.diag([0.5, 1.0, 2.0]), 1e-9)
         assert (est.negative_count, est.uncertain_count) == (0, 0)

@@ -15,7 +15,6 @@ from wente_index.surface import (
     potential,
     potential_extrema,
     potential_grid,
-    write_catalog,
 )
 
 
@@ -68,6 +67,11 @@ class TestBuildSurface:
     def test_nonpositive_mean_curvature(self):
         with pytest.raises(ParameterError):
             build_surface(3, 2, 0.0, 17.7324)
+
+    @pytest.mark.parametrize("big_h", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_curvature(self, big_h):
+        with pytest.raises(ParameterError):
+            build_surface(3, 2, big_h, 17.7324)
 
     def test_unknown_surface_without_theta(self):
         with pytest.raises(ParameterError):
@@ -168,17 +172,12 @@ class TestLattice:
 
 
 class TestCatalog:
-    def test_shipped_file_matches_embedded(self):
-        from importlib import resources
-
-        with resources.as_file(resources.files("wente_index") / "data" / "catalog.txt") as path:
-            rows = load_catalog(path)
-        assert rows == CATALOG
-
-    def test_round_trip(self, tmp_path):
-        target = tmp_path / "catalog.txt"
-        write_catalog(target)
-        assert load_catalog(target) == CATALOG
+    def test_catalog_order_and_thetas_match_reference(self):
+        # CATALOG is read from the shipped data/catalog.txt
+        expected = tuple(
+            (*map(int, ref.surface.split("/")), ref.theta_degrees) for ref in REFERENCE_GEOMETRY
+        )
+        assert CATALOG == expected
 
     def test_rejects_malformed_line(self, tmp_path):
         target = tmp_path / "bad.txt"
