@@ -36,7 +36,7 @@ from .assembly import (
     b_matrix,
     sample_potential,
 )
-from .spectrum import SpectrumEstimate, eigen_symmetric, nullity_diagnostic
+from .spectrum import SpectrumEstimate, eigen_symmetric
 from .bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -80,7 +80,6 @@ __all__ = [
     "sample_potential",
     "SpectrumEstimate",
     "eigen_symmetric",
-    "nullity_diagnostic",
     "SUBSPACE_SETS",
     "ConsistencyError",
     "IndexReport",

@@ -7,9 +7,10 @@ period cell [0, x_period/2) x [0, y_period/2); the table does not depend on
 the lattice parity of the torus.
 
 One vectorized gather produces the entries for any sequence of basis
-functions from that table: b_matrix returns b_ij, stability_matrix the
-restricted form, and the full matrix, subspace restrictions and the greedy
-search all come from it.
+functions from that table: b_matrix returns b_ij and stability_matrix the
+form.  assemble is the only code that enumerates the basis and samples V
+for the index computations; subspace restrictions and the greedy search
+are principal submatrices of the matrix it returns.
 
 b_entry_quadrature applies the periodic trapezoid rule to one entry, with
 the cell samples tiled over a fundamental domain of the torus.  There it is
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import BasisFunction, enumerate_basis
-from .surface import SurfaceParams, build_surface, lattice, potential_grid
+from .surface import ParameterError, SurfaceParams, build_surface, lattice, potential_grid
 
 __all__ = [
     "AssemblyConfig",
@@ -52,7 +53,10 @@ __all__ = [
 # Samples per period cell; resolves every catalogued potential (and theta up
 # to 24.5 degrees) to about 1e-11 relative.
 DEFAULT_GRID = 256
-DEFAULT_MAX_FREQUENCY = 64
+# Peak memory of a report at size m, in dense m x m float64 matrices: a report
+# at m = 2113 peaks about five above its baseline (the matrix, eigenvectors,
+# residual product and temporaries); one more is headroom.
+DENSE_PEAK_MATRICES = 6
 
 
 class CoefficientRangeError(ValueError):
@@ -143,33 +147,28 @@ def _transform_vectors(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(angles), np.sin(angles)
 
 
-def _table_shape(nx: int, ny: int, pmax: int, qmax: int) -> tuple[int, int]:
-    """Shape of the stored coefficient table: the requested extent, capped below Nyquist."""
-    return min(pmax, nx // 2 - 1) + 1, min(qmax, ny // 2 - 1) + 1
-
-
-def sample_potential(
-    p: SurfaceParams,
-    nx: int = DEFAULT_GRID,
-    ny: int = DEFAULT_GRID,
-    pmax: int = DEFAULT_MAX_FREQUENCY,
-    qmax: int = DEFAULT_MAX_FREQUENCY,
-) -> PotentialField:
+def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -> PotentialField:
     """Sample V on its period cell and tabulate cosine coefficients.
 
     nx, ny must be powers of two, at least 64.  The stored table covers
-    cell frequencies up to (pmax, qmax), capped below the Nyquist index of
-    the grid.
+    cell frequencies up to (pmax, qmax); a frequency at or above the
+    Nyquist index of the grid raises NyquistError.
     """
     for label, n in (("nx", nx), ("ny", ny)):
         if n < 64 or (n & (n - 1)) != 0:
             raise ValueError(f"{label} must be a power of two >= 64, got {n}")
+    if pmax >= nx // 2 or qmax >= ny // 2:
+        # smallest power of two whose Nyquist index exceeds both frequencies
+        need = max(64, 1 << (2 * max(pmax, qmax) + 1).bit_length())
+        raise NyquistError(
+            f"cell grid {nx}x{ny} cannot resolve cell frequency ({pmax}, {qmax}); "
+            f"use --grid {need} or finer"
+        )
     x = np.arange(nx) * (0.5 * p.x_period / nx)
     y = np.arange(ny) * (0.5 * p.y_period / ny)
     grid = potential_grid(p, x, y)
-    pdim, qdim = _table_shape(nx, ny, pmax, qmax)
-    cx, _ = _transform_vectors(nx, pdim - 1)
-    cy, _ = _transform_vectors(ny, qdim - 1)
+    cx, _ = _transform_vectors(nx, pmax)
+    cy, _ = _transform_vectors(ny, qmax)
     coeffs = (cx.T @ grid @ cy) / (nx * ny)
     return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
 
@@ -262,6 +261,11 @@ def stability_matrix(fld: PotentialField, functions: Sequence[BasisFunction]) ->
     return a
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class GalerkinMatrix:
     m: int
@@ -280,7 +284,16 @@ def assemble(
 
     A prebuilt field may be passed to reuse one potential pass across calls;
     otherwise one covering the basis is sampled, or read from the cache.
+    An m whose dense matrices would not fit in physical memory raises
+    ParameterError before any work is done.
     """
+    need = DENSE_PEAK_MATRICES * 8 * m * m
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(
+            f"m = {m} needs about {need / 2**30:.1f} GiB for dense assembly and eigensolve; "
+            f"this machine has {have / 2**30:.1f} GiB"
+        )
     basis = enumerate_basis(lattice(p), m)
     if fld is None:
         fld = potential_field(p, basis.functions, cfg or AssemblyConfig())
@@ -367,8 +380,8 @@ def cached_sample_potential(
     nx: int,
     ny: int,
     cache_dir: "str | Path | None",
-    pmax: int = DEFAULT_MAX_FREQUENCY,
-    qmax: int = DEFAULT_MAX_FREQUENCY,
+    pmax: int,
+    qmax: int,
 ) -> PotentialField:
     """sample_potential with a directory-backed cache of coefficient tables.
 
@@ -378,7 +391,7 @@ def cached_sample_potential(
     if cache_dir is None:
         return sample_potential(p, nx, ny, pmax, qmax)
     key = field_cache_key(p, nx, ny)
-    shape = _table_shape(nx, ny, pmax, qmax)
+    shape = (pmax + 1, qmax + 1)
     name = "pot_{}_{}_H{}_t{}_{}x{}_c{}x{}.wntpot".format(*key, *shape)
     path = Path(cache_dir) / name
     try:

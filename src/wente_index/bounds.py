@@ -8,7 +8,8 @@ Three independent routes bound the Morse index of W_{l/n}:
   shifted Laplacians whose spectra are explicit lattice sums, giving
   mu - 1 <= Ind <= nu;
 * a subspace of Laplacian eigenfunctions on which the quadratic form is
-  negative definite certifies Ind >= N - 1.
+  negative definite certifies Ind >= N - 1; its restricted form is a
+  principal submatrix of an assembled truncation A_M.
 
 The Galerkin route (assembly + spectrum) sharpens these: the number k of
 negative eigenvalues of A_m grows monotonically toward the true count, and
@@ -27,11 +28,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import AssemblyConfig, PotentialField, assemble, potential_field, stability_matrix
+from .assembly import AssemblyConfig, assemble
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
-from .basis import BasisFunction, count_alpha_below, enumerate_basis, shell_complete_sizes
-from .spectrum import eigen_symmetric, nullity_diagnostic
-from .surface import SurfaceParams, lattice, potential_extrema
+from .basis import count_alpha_below, shell_complete_sizes
+from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
+from .spectrum import eigen_symmetric
+from .surface import ParameterError, SurfaceParams, lattice, potential_extrema
 
 __all__ = [
     "ConsistencyError",
@@ -41,7 +43,6 @@ __all__ = [
     "SUBSPACE_SETS",
     "courant_bound",
     "potential_sandwich",
-    "subspace_matrix",
     "subspace_bound",
     "greedy_subspace_search",
     "default_m",
@@ -104,47 +105,32 @@ def potential_sandwich(p: SurfaceParams) -> SandwichBounds:
     return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near_min + near_max)
 
 
-def _selected_functions(p: SurfaceParams, indices: Sequence[int]) -> list[BasisFunction]:
-    """The basis functions at the given 1-based indices, validated."""
-    indices = tuple(int(i) for i in indices)
-    if not indices:
-        raise ValueError("at least one basis index is required")
-    if len(set(indices)) != len(indices):
-        raise ValueError("basis indices must be distinct")
-    if min(indices) < 1:
-        raise ValueError("basis indices are 1-based")
-    basis = enumerate_basis(lattice(p), default_m(p, max(indices)))
-    return [basis[i - 1] for i in indices]
-
-
-def subspace_matrix(
-    p: SurfaceParams,
-    indices: Sequence[int],
-    cfg: AssemblyConfig | None = None,
-    fld: PotentialField | None = None,
-) -> np.ndarray:
-    """Restriction of the stability form to the selected basis functions.
-
-    Without a field, V is sampled at the selection's own coefficient extent.
-    """
-    chosen = _selected_functions(p, indices)
-    if fld is None:
-        fld = potential_field(p, chosen, cfg or AssemblyConfig())
-    return stability_matrix(fld, chosen)
-
-
 def subspace_bound(
     p: SurfaceParams,
     indices: Sequence[int],
     cfg: AssemblyConfig | None = None,
-    fld: PotentialField | None = None,
+    form: np.ndarray | None = None,
 ) -> SubspaceVerdict:
     """Check negative definiteness of the restricted form on the given span.
 
-    A negative definite N-dimensional restriction implies Ind >= N - 1 (one
-    dimension can be lost to the volume constraint).
+    The restriction to the 1-based basis indices is a principal submatrix
+    of a stability matrix over the first M >= max(indices) basis functions:
+    form when it is that large, otherwise A_M assembled at the smallest
+    shell-complete M.  A negative definite N-dimensional restriction
+    implies Ind >= N - 1 (one dimension can be lost to the volume
+    constraint).
     """
-    mat = subspace_matrix(p, indices, cfg, fld)
+    indices = tuple(int(i) for i in indices)
+    if not indices:
+        raise ParameterError("at least one basis index is required")
+    if len(set(indices)) != len(indices):
+        raise ParameterError("basis indices must be distinct")
+    if min(indices) < 1:
+        raise ParameterError("basis indices are 1-based")
+    if form is None or len(form) < max(indices):
+        form = assemble(p, default_m(p, max(indices)), cfg).entries
+    pos = [i - 1 for i in indices]
+    mat = form[np.ix_(pos, pos)]
     top = float(eigen_symmetric(mat).eigenvalues[-1])
     definite = top < 0.0
     return SubspaceVerdict(
@@ -152,7 +138,7 @@ def subspace_bound(
         implied_lower=len(mat) - 1 if definite else 0,
         max_eigenvalue=top,
         matrix=mat,
-        indices=tuple(int(i) for i in indices),
+        indices=indices,
     )
 
 
@@ -166,7 +152,7 @@ def greedy_subspace_search(
     the search is deterministic.
     """
     if pool_size < 1:
-        raise ValueError("pool_size must be at least 1")
+        raise ParameterError("pool_size must be at least 1")
     full = assemble(p, default_m(p, pool_size), cfg).entries[:pool_size, :pool_size]
     chosen: list[int] = []
     remaining = list(range(pool_size))
@@ -272,20 +258,17 @@ def full_report(
 
     if subspace_indices is None:
         subspace_indices = SUBSPACE_SETS.get(p.label)
-    # One potential field serves the subspace check and the Galerkin matrix.
-    # Enumerating to a full shell leaves the partial-shell warning to assemble.
-    selection = () if subspace_indices is None else tuple(_selected_functions(p, subspace_indices))
-    fld = potential_field(p, enumerate_basis(lattice(p), default_m(p, m)).functions[:m] + selection, cfg)
+    # One matrix serves the Galerkin count and, when the selection lies
+    # within the first m functions, the subspace check.
+    matrix = assemble(p, m, cfg)
     subspace_lower: int | None = None
     if subspace_indices is not None:
-        verdict = subspace_bound(p, subspace_indices, cfg, fld)
+        verdict = subspace_bound(p, subspace_indices, cfg, form=matrix.entries)
         if verdict.negative_definite:
             subspace_lower = verdict.implied_lower
         else:
             notes.append("provided subspace is not negative definite; no bound taken from it")
 
-    matrix = assemble(p, m, cfg, fld)
-    del fld  # release the grid samples before the eigensolver's peak
     est = eigen_symmetric(matrix, zero_tol)
     k, uncertain = est.negative_count, est.uncertain_count
     if uncertain:
@@ -297,14 +280,10 @@ def full_report(
         # k grows monotonically with m, so an analytic bound above it only
         # means the truncation is not yet converged.
         notes.append(f"analytic lower bound {best_lower} exceeds Galerkin count at m={m}; increase m")
-    neg_range = est.negative_range
-    try:
-        six = nullity_diagnostic(est)
-    except ValueError:
+    six = est.first_positive_six
+    if len(six) < 6:
         # the truncation is too small to show six values above the block
-        tail = est.eigenvalues[k + uncertain :]
-        six = tuple(float(v) for v in tail) or (float("nan"), float("nan"))
-        notes.append(f"only {len(tail)} eigenvalue(s) above the negative block at m={m}")
+        notes.append(f"only {len(six)} eigenvalue(s) above the negative block at m={m}")
 
     report = IndexReport(
         surface=p.label,
@@ -319,8 +298,8 @@ def full_report(
         galerkin_k=k,
         index_estimate=(k - 1, k),
         m_used=m,
-        negative_range=neg_range,
-        first_positive_six=(six[0], six[-1]),
+        negative_range=est.negative_range,
+        first_positive_six=(six[0], six[-1]) if six else (float("nan"), float("nan")),
         uncertain_count=uncertain,
         residual_bound=est.residual_bound,
         zero_tol=est.zero_tol,

@@ -9,10 +9,14 @@ Subcommands:
     subspace  negative-definiteness verdict + matrix dump for a basis choice
     cache     inspect or clear cached potential coefficient tables
 
-Reports embed their full run configuration and a schema version; identical
-configurations produce byte-identical output (no timestamps, sorted keys),
-whether or not the coefficient cache was warm.  The cache directory comes
-from --cache-dir or the WENTE_CACHE_DIR variable.
+Each subcommand accepts only the options it reads.  Reports embed their
+full run configuration and a schema version; identical configurations
+produce byte-identical output (no timestamps, sorted keys), whether or not
+the coefficient cache was warm.  The cache directory comes from --cache-dir
+or the WENTE_CACHE_DIR variable.
+
+Exit codes: 0 success, 1 a numerical fault (inconsistent bounds, a failed
+eigensolve, a coefficient outside the table), 2 a usage error.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .assembly import DEFAULT_GRID, AssemblyConfig, field_cache_key, read_field_cache
+from .assembly import DEFAULT_GRID, AssemblyConfig, NyquistError, field_cache_key, read_field_cache
 from .bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -38,10 +43,9 @@ from .bounds import (
     subspace_bound,
 )
 from .reference import REFERENCE_ESTIMATES, REFERENCE_GEOMETRY, estimate_row
-from .spectrum import eigen_symmetric
 from .surface import CATALOG, ParameterError, build_surface, catalog_surface, potential_extrema
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 ENV_CACHE_DIR = "WENTE_CACHE_DIR"
 
 # Diff tolerances for the reference tables (matching the precision at which
@@ -73,12 +77,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _zero_tol(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"zero_tol must be a finite number >= 0, got {value}")
+    return value
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
-    if "x" in text:
-        a, b = text.split("x", 1)
-        return int(a), int(b)
-    n = int(text)
-    return n, n
+    parts = text.split("x", 1) if "x" in text else (text, text)
+    nx, ny = int(parts[0]), int(parts[1])
+    if any(n < 64 or n & (n - 1) for n in (nx, ny)):
+        raise argparse.ArgumentTypeError(f"grid sizes must be powers of two >= 64, got {text}")
+    return nx, ny
 
 
 def _selected_surfaces(args) -> list[tuple[int, int]]:
@@ -88,29 +99,30 @@ def _selected_surfaces(args) -> list[tuple[int, int]]:
 
 
 def _build(args, ell: int, n: int):
-    try:
-        if args.theta is not None:
-            return build_surface(ell, n, args.H, args.theta)
-        return catalog_surface(ell, n, args.H)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.theta is not None:
+        return build_surface(ell, n, args.H, args.theta)
+    return catalog_surface(ell, n, args.H)
 
 
 def _run_config(args, **extra) -> dict:
-    cfg = {
-        "surface": args.surface,
-        "H": args.H,
-        "format": args.format,
-        "cache_dir": args.cache_dir,
-    }
-    cfg.update(extra)
-    return cfg
+    """The command's own options among surface, H, format and cache_dir, plus extra."""
+    keys = ("surface", "H", "format", "cache_dir")
+    return {k: getattr(args, k) for k in keys if hasattr(args, k)} | extra
 
 
 def _assembly_config(args) -> AssemblyConfig:
-    nx, ny = getattr(args, "grid", None) or (DEFAULT_GRID, DEFAULT_GRID)
+    nx, ny = args.grid or (DEFAULT_GRID, DEFAULT_GRID)
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
     return AssemblyConfig(nx=nx, ny=ny, cache_dir=cache_dir)
+
+
+def _fan_out(jobs: int, one, items: list) -> list:
+    """one(item) for each item on up to jobs threads, results in input order."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [one(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, items))
 
 
 def _emit(args, payload: dict, text_renderer) -> None:
@@ -170,13 +182,7 @@ def cmd_report(args) -> int:
                 m = default_m(p)
         return full_report(p, m, cfg, zero_tol=args.zero_tol).to_dict()
 
-    workers = min(args.jobs, len(surfaces)) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(one, surfaces))
-    else:
-        reports = [one(s) for s in surfaces]
-
+    reports = _fan_out(args.jobs, one, surfaces)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -329,8 +335,12 @@ def cmd_table3(args) -> int:
     if args.surface == "all":
         refs = list(REFERENCE_ESTIMATES)
     else:
-        ell, n = _parse_surface(args.surface)
-        refs = [estimate_row(f"{ell}/{n}")]
+        label = "{}/{}".format(*_parse_surface(args.surface))
+        try:
+            refs = [estimate_row(label)]
+        except KeyError:
+            known = ", ".join(ref.surface for ref in REFERENCE_ESTIMATES)
+            raise UsageError(f"no reference row for {label}; table3 has rows for {known}") from None
     cfg = _assembly_config(args)
 
     def one(ref):
@@ -359,13 +369,7 @@ def cmd_table3(args) -> int:
             "all_pass": all(checks.values()),
         }
 
-    workers = min(args.jobs, len(refs)) or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, refs))
-    else:
-        rows = [one(ref) for ref in refs]
-
+    rows = _fan_out(args.jobs, one, refs)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -411,8 +415,6 @@ def cmd_subspace(args) -> int:
             indices = tuple(int(tok) for tok in args.indices.split(",") if tok.strip())
         except ValueError as exc:
             raise UsageError(f"bad index list {args.indices!r}") from exc
-        if not indices:
-            raise UsageError("index list is empty")
     verdict = subspace_bound(p, indices, _assembly_config(args))
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -500,21 +502,26 @@ def _render_cache_text(payload: dict) -> str:
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(sub, grid=True, m=False) -> None:
-    sub.add_argument("--surface", default="all", help="surface label l/n, or 'all'")
-    sub.add_argument("-H", "--mean-curvature", dest="H", type=float, default=0.5)
-    sub.add_argument("--theta", type=float, default=None, help="override the catalogued angle (degrees)")
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--cache-dir", default=None)
-    sub.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
-    if grid:
-        sub.add_argument(
-            "--grid", type=_parse_grid, default=None,
-            help=f"N or NXxNY samples per period cell of V (default {DEFAULT_GRID})",
-        )
-    if m:
-        sub.add_argument("--m", type=_positive_int, default=None, help="truncation size (default: reference size)")
-    sub.add_argument("--zero-tol", type=float, default=None)
+# Every option a subcommand can take, spelled once; build_parser gives each
+# subcommand exactly the options it reads.
+_OPTIONS = {
+    "surface": (("--surface",), dict(default="all", help="surface label l/n, or 'all'")),
+    "H": (("-H", "--mean-curvature"), dict(dest="H", type=float, default=0.5)),
+    "theta": (("--theta",), dict(type=float, default=None, help="override the catalogued angle (degrees)")),
+    "format": (("--format",), dict(choices=("json", "csv", "text"), default="json")),
+    "cache_dir": (("--cache-dir",), dict(default=None)),
+    "jobs": (("--jobs",), dict(type=_positive_int, default=min(4, os.cpu_count() or 1))),
+    "grid": (("--grid",), dict(type=_parse_grid, default=None,
+                               help=f"N or NXxNY samples per period cell of V (default {DEFAULT_GRID})")),
+    "m": (("--m",), dict(type=_positive_int, default=None, help="truncation size (default: reference size)")),
+    "zero_tol": (("--zero-tol",), dict(type=_zero_tol, default=None)),
+}
+
+
+def _add_options(sub, *names: str) -> None:
+    for name in names:
+        flags, kwargs = _OPTIONS[name]
+        sub.add_argument(*flags, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -525,17 +532,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(subs.add_parser("report", help="full report per surface"), m=True)
-    _add_common(subs.add_parser("bounds", help="analytic bounds only"), grid=False)
-    _add_common(subs.add_parser("table2", help="diff geometry and bounds against reference"), grid=False)
-    _add_common(subs.add_parser("table3", help="diff Galerkin estimates against reference"), m=True)
+    _add_options(
+        subs.add_parser("report", help="full report per surface"),
+        "surface", "H", "theta", "format", "cache_dir", "jobs", "grid", "m", "zero_tol",
+    )
+    _add_options(subs.add_parser("bounds", help="analytic bounds only"), "surface", "H", "theta", "format")
+    _add_options(subs.add_parser("table2", help="diff geometry and bounds against reference"), "H", "format")
+    _add_options(
+        subs.add_parser("table3", help="diff Galerkin estimates against reference"),
+        "surface", "H", "format", "cache_dir", "jobs", "grid", "m", "zero_tol",
+    )
     sub = subs.add_parser("subspace", help="negative definiteness of a basis selection")
-    _add_common(sub)
+    _add_options(sub, "surface", "H", "theta", "format", "cache_dir", "grid")
     sub.add_argument("--indices", default="published", help="comma list of 1-based indices, or 'published'")
     sub = subs.add_parser("cache", help="inspect or clear the coefficient cache")
     sub.add_argument("action", choices=("inspect", "clear"))
-    sub.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    sub.add_argument("--cache-dir", default=None)
+    _add_options(sub, "format", "cache_dir")
     return parser
 
 
@@ -554,12 +566,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ParameterError, NyquistError) as exc:
         parser.exit(2, f"error: {exc}\n")
-    except (ParameterError, ValueError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except ConsistencyError as exc:
-        print(f"consistency failure: {exc}", file=sys.stderr)
+    except (ConsistencyError, ValueError) as exc:
+        # a numerical fault; LinAlgError and CoefficientRangeError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, negative-eigenvalue counting, nullity checks.
+"""Symmetric eigendecomposition and negative-eigenvalue counting.
 
 The decomposition is delegated to LAPACK's symmetric solver (orthogonal
 similarity transforms: tridiagonalization followed by implicit-shift
@@ -22,7 +22,6 @@ __all__ = [
     "SpectrumEstimate",
     "ZERO_TOL_RELATIVE",
     "eigen_symmetric",
-    "nullity_diagnostic",
 ]
 
 # Default zero band, relative to ||A||: small enough that the smallest
@@ -37,6 +36,11 @@ class SpectrumEstimate:
     eigenvalues: np.ndarray  # ascending
     negative_count: int
     residual_bound: float
+    # Up to six eigenvalues just above the negative and uncertain block (fewer
+    # when the spectrum is that short).  For a converged truncation they
+    # approach zero, since the kernel of the operator contains the normal
+    # parts of the six ambient rigid motions, so their size measures
+    # truncation quality.
     first_positive_six: tuple[float, ...]
     zero_tol: float
     uncertain_count: int
@@ -94,15 +98,3 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
         eigenvectors=vectors,
     )
 
-
-def nullity_diagnostic(est: SpectrumEstimate) -> tuple[float, ...]:
-    """The six eigenvalues just above the negative block.
-
-    For a converged truncation these approach zero (the kernel of the
-    operator contains the normal parts of the six ambient rigid motions),
-    so their size measures truncation quality.
-    """
-    start = est.negative_count + est.uncertain_count
-    if len(est.eigenvalues) < start + 6:
-        raise ValueError("spectrum too short for a nullity diagnostic")
-    return tuple(float(v) for v in est.eigenvalues[start : start + 6])

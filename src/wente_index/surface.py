@@ -46,7 +46,7 @@ THETA_BAR_DEGREES = 65.354955354
 THETA_MAX_DEGREES = 24.645044646  # theta + thetabar must stay below 90 degrees
 
 class ParameterError(ValueError):
-    """Raised for surface labels or angles outside the admissible range."""
+    """Raised for input outside the admissible range."""
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,15 @@ class TestSampling:
     @pytest.mark.parametrize("bad", [(60, 128), (128, 100), (32, 32)])
     def test_grid_validation(self, w32, bad):
         with pytest.raises(ValueError):
-            sample_potential(w32, *bad)
+            sample_potential(w32, *bad, 1, 1)
+
+    @pytest.mark.parametrize("pmax,qmax,suggested", [(32, 0, 128), (0, 64, 256), (31, 63, 128)])
+    def test_frequency_at_nyquist_names_the_grid(self, w32, pmax, qmax, suggested):
+        # 64 samples resolve cell frequencies below 32; the message names
+        # the grid, the frequency and the smallest grid that resolves it
+        with pytest.raises(NyquistError, match=rf"cell grid 64x64 .* \({pmax}, {qmax}\).* --grid {suggested} "):
+            sample_potential(w32, 64, 64, pmax, qmax)
+        sample_potential(w32, suggested, suggested, pmax, qmax)
 
     def test_mean_coefficient_self_convergence(self, w32):
         coarse = sample_potential(w32, 256, 256, 8, 8)
@@ -286,6 +294,22 @@ class TestAssemble:
         assert default.nx == 256 and default.coeffs.shape == doubled.coeffs.shape
         scale = np.max(np.abs(doubled.coeffs))
         assert np.max(np.abs(default.coeffs - doubled.coeffs)) <= rtol * scale
+
+    def test_memory_guard_refuses_before_enumerating(self, w32, monkeypatch):
+        import wente_index.assembly as assembly_mod
+        from wente_index.surface import ParameterError
+
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated despite the guard")
+
+        monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
+        # A_1000 needs 6 x 8 x 10^6 bytes = 48 MB under the guard's rule
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 47_999_999)
+        with pytest.raises(ParameterError, match="m = 1000 needs about"):
+            assemble(w32, 1000)
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 48_000_000)
+        with pytest.raises(AssertionError, match="enumerated"):
+            assemble(w32, 1000)
 
     def test_provenance_recorded(self, w32, fast_cfg):
         mat = assemble(w32, 13, fast_cfg)

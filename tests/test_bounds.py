@@ -5,7 +5,8 @@ import pytest
 
 import wente_index.assembly as assembly_mod
 import wente_index.bounds as bounds_mod
-from wente_index.assembly import AssemblyConfig, assemble
+from wente_index.assembly import AssemblyConfig, assemble, stability_matrix
+from wente_index.basis import enumerate_basis
 from wente_index.bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -16,10 +17,10 @@ from wente_index.bounds import (
     greedy_subspace_search,
     potential_sandwich,
     subspace_bound,
-    subspace_matrix,
 )
 from wente_index.reference import REFERENCE_GEOMETRY
-from wente_index.surface import catalog_surface
+from wente_index.spectrum import eigen_symmetric
+from wente_index.surface import ParameterError, catalog_surface, lattice
 
 W43_PUBLISHED_MATRIX = np.array(
     [
@@ -97,17 +98,30 @@ class TestSubspace:
 
     @pytest.mark.parametrize("surface,m", [("w32", 41), ("w43", 49)])
     def test_matrix_on_shared_field_is_block_of_assemble(self, surface, m, request):
+        # the slice of A_m is, bit for bit, the form gathered on the
+        # selected functions alone
         p = request.getfixturevalue(surface)
         fld = request.getfixturevalue(f"{surface}_field")
         indices = SUBSPACE_SETS[p.label]
-        sub = subspace_matrix(p, indices, fld=fld)
-        pos = [i - 1 for i in indices]
-        block = assemble(p, m, fld=fld).entries[np.ix_(pos, pos)]
-        assert np.array_equal(sub, block)
-        assert np.array_equal(np.signbit(sub), np.signbit(block))
+        sub = subspace_bound(p, indices, form=assemble(p, m, fld=fld).entries).matrix
+        basis = enumerate_basis(lattice(p), m)
+        direct = stability_matrix(fld, [basis[i - 1] for i in indices])
+        assert np.array_equal(sub, direct)
+        assert np.array_equal(np.signbit(sub), np.signbit(direct))
+
+    def test_form_too_small_is_assembled_to_a_full_shell(self, w32, fast_cfg):
+        # 3/2's set reaches index 17, beyond A_13; the verdict then comes
+        # from A_25, the smallest shell-complete truncation holding it
+        small = assemble(w32, 13, fast_cfg).entries
+        verdict = subspace_bound(w32, SUBSPACE_SETS["3/2"], fast_cfg, form=small)
+        pos = [i - 1 for i in SUBSPACE_SETS["3/2"]]
+        expected = assemble(w32, default_m(w32, 17), fast_cfg).entries[np.ix_(pos, pos)]
+        assert default_m(w32, 17) == 25
+        assert np.array_equal(verdict.matrix, expected)
+        assert verdict.negative_definite
 
     def test_w43_matrix_matches_published_entries(self, w43, fast_cfg):
-        mat = subspace_matrix(w43, SUBSPACE_SETS["4/3"], fast_cfg)
+        mat = subspace_bound(w43, SUBSPACE_SETS["4/3"], fast_cfg).matrix
         np.testing.assert_allclose(mat, W43_PUBLISHED_MATRIX, atol=0.05)
 
     def test_w32_prefix_ten_is_not_definite(self, w32, fast_cfg):
@@ -116,8 +130,6 @@ class TestSubspace:
         assert verdict.implied_lower == 0
 
     def test_verdict_consistent_with_spectrum(self, w32, fast_cfg):
-        from wente_index.spectrum import eigen_symmetric
-
         verdict = subspace_bound(w32, SUBSPACE_SETS["3/2"], fast_cfg)
         top = float(eigen_symmetric(verdict.matrix).eigenvalues[-1])
         assert verdict.max_eigenvalue == pytest.approx(top, rel=1e-12)
@@ -125,7 +137,7 @@ class TestSubspace:
 
     @pytest.mark.parametrize("indices", [[], [0, 1], [1, 1, 2]])
     def test_invalid_index_lists(self, w32, indices, fast_cfg):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError):
             subspace_bound(w32, indices, fast_cfg)
 
 
@@ -241,6 +253,19 @@ class TestFullReport:
         assert wide.zero_tol == 1.0
         assert wide.galerkin_k + wide.uncertain_count >= default.galerkin_k
         assert wide.negative_range[1] < -1.0
+
+    @pytest.mark.parametrize("m,tail", [(13, 5), (1, 0)])
+    def test_short_spectrum_is_noted(self, w32, m, tail):
+        # A_13 of 3/2 has 8 negative eigenvalues and 5 above them; A_1 has
+        # only its negative one
+        report = full_report(w32, m)
+        assert f"only {tail} eigenvalue(s) above the negative block at m={m}" in report.notes
+        est = eigen_symmetric(assemble(w32, m))
+        assert len(est.first_positive_six) == tail
+        if tail:
+            assert report.first_positive_six == (est.first_positive_six[0], est.first_positive_six[-1])
+        else:
+            assert all(np.isnan(report.first_positive_six))
 
     def test_h_independence_of_counts(self):
         from wente_index.surface import build_surface

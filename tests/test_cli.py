@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+import wente_index.cli as cli_mod
+from wente_index.bounds import ConsistencyError
 from wente_index.cli import main
 
 
@@ -19,7 +21,7 @@ class TestReport:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert "method" not in payload["config"]
         (report,) = payload["reports"]
         assert report["index_estimate"] == [10, 11]
@@ -44,6 +46,12 @@ class TestReport:
             main([command, "--surface", "3/2", "--m", m])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["report", "table3"])
+    def test_nonpositive_jobs_is_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--surface", "3/2", "--jobs", "-1"])
+        assert info.value.code == 2
+
     def test_method_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["report", "--surface", "3/2", "--method", "fourier"])
@@ -62,6 +70,40 @@ class TestReport:
             main(["report", "--surface", "3/2", "--m", "41", f"--zero-tol={tol}"])
         assert info.value.code == 2
         assert "zero_tol must be a finite number >= 0" in capsys.readouterr().err
+
+    def test_bad_zero_tol_fails_before_any_report(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("full_report ran")
+
+        monkeypatch.setattr(cli_mod, "full_report", never)
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "all", "--zero-tol", "nan"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("grid", ["100", "32", "128x96"])
+    def test_grid_not_a_power_of_two_is_usage_error(self, capsys, grid):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "3/2", "--m", "41", "--grid", grid])
+        assert info.value.code == 2
+        assert "powers of two >= 64" in capsys.readouterr().err
+
+    def test_too_coarse_grid_names_the_grid(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "3/2", "--m", "2113", "--grid", "64"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "cell grid 64x64" in err and "--grid 128" in err
+
+    @pytest.mark.parametrize("fault", [ValueError, np.linalg.LinAlgError, ConsistencyError])
+    def test_numerical_fault_exits_one(self, capsys, monkeypatch, fault):
+        def faulty(*args, **kwargs):
+            raise fault("matrix is not symmetric")
+
+        monkeypatch.setattr(cli_mod, "full_report", faulty)
+        code, out, err = run_cli(capsys, "report", "--surface", "3/2", "--m", "41")
+        assert code == 1
+        assert out == ""
+        assert err == "error: matrix is not symmetric\n"
 
     @pytest.mark.parametrize("big_h", ["nan", "inf"])
     def test_non_finite_mean_curvature_is_usage_error(self, capsys, big_h):
@@ -113,6 +155,12 @@ class TestTables:
         assert payload["all_pass"] is True
         assert len(payload["rows"]) == 19
 
+    def test_table3_without_reference_row_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["table3", "--surface", "21/20"])
+        assert info.value.code == 2
+        assert "no reference row for 21/20; table3 has rows for 3/2, 4/3" in capsys.readouterr().err
+
     def test_table3_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "table3", "--surface", "4/3", "--format", "json")
         payload = json.loads(out)
@@ -139,6 +187,12 @@ class TestSubspace:
     def test_empty_indices_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["subspace", "--surface", "3/2", "--indices", ""])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("indices", ["1,1", "0,1"])
+    def test_repeated_or_nonpositive_indices_are_usage_errors(self, capsys, indices):
+        with pytest.raises(SystemExit) as info:
+            main(["subspace", "--surface", "3/2", "--indices", indices])
         assert info.value.code == 2
 
     def test_explicit_indices(self, capsys):
@@ -231,3 +285,28 @@ class TestCache:
         with pytest.raises(SystemExit) as info:
             main(["cache", "inspect"])
         assert info.value.code == 2
+
+
+# An option of another subcommand that this one does not read.
+IGNORED_OPTIONS = [
+    ("bounds", "--cache-dir", "x"),
+    ("bounds", "--jobs", "1"),
+    ("bounds", "--zero-tol", "0"),
+    ("table2", "--surface", "3/2"),
+    ("table2", "--theta", "10"),
+    ("table2", "--cache-dir", "x"),
+    ("table2", "--jobs", "1"),
+    ("table2", "--zero-tol", "0"),
+    ("table3", "--theta", "10"),
+    ("subspace", "--jobs", "1"),
+    ("subspace", "--zero-tol", "0"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", IGNORED_OPTIONS)
+def test_option_a_command_does_not_read_is_rejected(capsys, command, option, value):
+    with pytest.raises(SystemExit) as info:
+        main([command, option, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wente_index.assembly import AssemblyConfig, assemble
+from wente_index.assembly import assemble
 from wente_index.basis import enumerate_basis
-from wente_index.spectrum import eigen_symmetric, nullity_diagnostic
+from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import build_surface, lattice
 
 
@@ -96,26 +96,27 @@ class TestCounting:
 
 
 class TestNullityDiagnostic:
+    """first_positive_six, the values that approach the six-dimensional kernel."""
+
     def test_reports_first_six_after_negative_block(self, w32, fast_cfg):
         est = eigen_symmetric(assemble(w32, 41, fast_cfg))
-        six = nullity_diagnostic(est)
+        six = est.first_positive_six
         assert len(six) == 6
         start = est.negative_count + est.uncertain_count
         np.testing.assert_allclose(six, est.eigenvalues[start : start + 6], rtol=0)
-        assert six == est.first_positive_six
 
     def test_zero_potential_shows_laplacian_spectrum(self, w32):
         basis = enumerate_basis(lattice(w32), 13)
         alphas = np.array([f.alpha for f in basis.functions])
         est = eigen_symmetric(np.diag(alphas))
-        six = nullity_diagnostic(est)
+        six = est.first_positive_six
         expected = np.sort(alphas)[1:7]  # constant excluded: it is the zero mode
         np.testing.assert_allclose(six, expected, rtol=1e-14)
 
-    def test_requires_enough_eigenvalues(self):
+    def test_short_spectrum_gives_fewer_than_six(self):
         est = eigen_symmetric(np.diag([-1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            nullity_diagnostic(est)
+        assert est.first_positive_six == (1.0, 2.0)
+        assert eigen_symmetric(np.diag([-1.0, -2.0])).first_positive_six == ()
 
 
 class TestMonotonicity:
