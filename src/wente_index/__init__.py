@@ -21,8 +21,7 @@ from .surface import (
     potential_extrema,
 )
 from .basis import (
-    BasisEnumeration,
-    BasisFunction,
+    Basis,
     enumerate_basis,
     shell_complete_sizes,
     sorted_alpha_stream,
@@ -66,8 +65,7 @@ __all__ = [
     "load_catalog",
     "potential",
     "potential_extrema",
-    "BasisEnumeration",
-    "BasisFunction",
+    "Basis",
     "enumerate_basis",
     "shell_complete_sizes",
     "sorted_alpha_stream",

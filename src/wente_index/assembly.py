@@ -6,11 +6,11 @@ so everything assembly needs is the cosine-coefficient table of V on its own
 period cell [0, x_period/2) x [0, y_period/2); the table does not depend on
 the lattice parity of the torus.
 
-One vectorized gather produces the entries for any sequence of basis
-functions from that table: b_matrix returns b_ij and stability_matrix the
-form.  assemble is the only code that enumerates the basis and samples V
-for the index computations; subspace restrictions and the greedy search
-are principal submatrices of the matrix it returns.
+One vectorized gather reads the Basis arrays and that table: b_matrix
+returns b_ij and stability_matrix the form, on any basis[pos] (published
+index i is position i - 1).  assemble is the only code that enumerates
+the basis and samples V for the index computations; subspace restrictions
+and the greedy search are principal submatrices of the matrix it returns.
 
 b_entry_quadrature applies the periodic trapezoid rule to one entry, with
 the cell samples tiled over a fundamental domain of the torus.  There it is
@@ -25,11 +25,10 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .basis import BasisFunction, enumerate_basis
+from .basis import Basis, _physical_memory, enumerate_basis
 from .surface import ParameterError, SurfaceParams, build_surface, lattice, potential_grid
 
 __all__ = [
@@ -173,23 +172,21 @@ def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -
     return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
 
 
-def potential_field(
-    p: SurfaceParams, functions: Sequence[BasisFunction], cfg: AssemblyConfig
-) -> PotentialField:
+def potential_field(p: SurfaceParams, basis: Basis, cfg: AssemblyConfig) -> PotentialField:
     """V on the configured grid, with a table covering every product of the functions.
 
     A product reaches the sum of two wave pairs; the wave (2n P, 2 Q) is
     the cell frequency (P, Q).
     """
-    reach_x = 2 * max(abs(f.wave_x) for f in functions)
-    reach_y = 2 * max(abs(f.wave_y) for f in functions)
+    reach_x = 2 * int(np.abs(basis.wave_x).max())
+    reach_y = 2 * int(np.abs(basis.wave_y).max())
     return cached_sample_potential(
         p, cfg.nx, cfg.ny, cfg.cache_dir, reach_x // (2 * p.n), reach_y // 2
     )
 
 
-def b_entry_quadrature(fld: PotentialField, ui: BasisFunction, uj: BasisFunction) -> float:
-    """b_ij by the periodic trapezoid rule on the field's own grid (test oracle).
+def b_entry_quadrature(fld: PotentialField, basis: Basis, i: int, j: int) -> float:
+    """b_ij at positions i, j by the periodic trapezoid rule on the field's grid (test oracle).
 
     The cell samples are tiled over the lattice rectangle [0, a1) x [0, b2),
     a fundamental domain of the torus for either parity.
@@ -199,8 +196,8 @@ def b_entry_quadrature(fld: PotentialField, ui: BasisFunction, uj: BasisFunction
     p = fld.surface
     # wave w has frequency w / (n x_period) in x and the cell grid's Nyquist
     # frequency is nx / x_period, so x resolves waves below n nx (y below ny)
-    reach_x = abs(ui.wave_x) + abs(uj.wave_x)
-    reach_y = abs(ui.wave_y) + abs(uj.wave_y)
+    reach_x = int(abs(basis.wave_x[i]) + abs(basis.wave_x[j]))
+    reach_y = int(abs(basis.wave_y[i]) + abs(basis.wave_y[j]))
     if reach_x >= p.n * fld.nx or reach_y >= fld.ny:
         raise NyquistError(
             f"cell grid {fld.nx}x{fld.ny} cannot resolve combined wave ({reach_x}, {reach_y})"
@@ -210,11 +207,11 @@ def b_entry_quadrature(fld: PotentialField, ui: BasisFunction, uj: BasisFunction
     dx, dy = 0.5 * p.x_period / fld.nx, 0.5 * p.y_period / fld.ny
     x = (np.arange(tiles[0] * fld.nx) * dx)[:, None]
     y = (np.arange(tiles[1] * fld.ny) * dy)[None, :]
-    integrand = np.tile(fld.grid, tiles) * ui.values(x, y) * uj.values(x, y)
+    integrand = np.tile(fld.grid, tiles) * basis.values(i, x, y) * basis.values(j, x, y)
     return float(integrand.sum()) * dx * dy
 
 
-def _phase_blocks(fld: PotentialField, functions: Sequence[BasisFunction]):
+def _phase_blocks(fld: PotentialField, basis: Basis):
     """Yield (positions, b block) for the sine and then the cosine functions.
 
     A same-phase pair reduces to the cosine coefficients at the wave
@@ -222,48 +219,41 @@ def _phase_blocks(fld: PotentialField, functions: Sequence[BasisFunction]):
     - C[w_i + w_j]) for sines and with + for cosines.  Working one block at
     a time keeps temporaries at the size of one block.
     """
-    for phase in ("sin", "cos"):
-        idx = np.array([r for r, f in enumerate(functions) if f.phase == phase], dtype=np.intp)
+    for sine in (True, False):
+        idx = np.flatnonzero(basis.sine == sine)
         if idx.size == 0:
             continue
-        wx = np.array([functions[r].wave_x for r in idx])
-        wy = np.array([functions[r].wave_y for r in idx])
-        norm = np.array([functions[r].norm for r in idx])
+        wx, wy, norm = basis.wave_x[idx], basis.wave_y[idx], basis.norm[idx]
         diff = fld.cos_coefficient(wx[:, None] - wx, wy[:, None] - wy)
         total = fld.cos_coefficient(wx[:, None] + wx, wy[:, None] + wy)
-        value = 0.5 * (diff - total) if phase == "sin" else 0.5 * (diff + total)
+        value = 0.5 * (diff - total) if sine else 0.5 * (diff + total)
         yield np.ix_(idx, idx), np.outer(norm, norm) * fld.area * value
 
 
-def b_matrix(fld: PotentialField, functions: Sequence[BasisFunction]) -> np.ndarray:
-    """b_ij = integral of V u_i u_j for every pair of the given functions.
+def b_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
+    """b_ij = integral of V u_i u_j for every pair of functions of the basis.
 
     sin(A)cos(B) expands into pure sines, which integrate to zero against
     the even potential, so mixed-phase entries are exact zeros.
     """
-    b = np.zeros((len(functions), len(functions)))
-    for block, values in _phase_blocks(fld, functions):
+    b = np.zeros((len(basis), len(basis)))
+    for block, values in _phase_blocks(fld, basis):
         b[block] = values
     return b
 
 
-def stability_matrix(fld: PotentialField, functions: Sequence[BasisFunction]) -> np.ndarray:
-    """alpha_i delta_ij - b_ij restricted to the span of the given functions.
+def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
+    """alpha_i delta_ij - b_ij restricted to the span of the basis.
 
     Symmetric bit for bit, since b_ij and b_ji are computed by the same
     operations.  Mixed-phase entries are +0.0 and every other off-diagonal
     entry is exactly -b_ij.
     """
-    a = np.zeros((len(functions), len(functions)))
-    for block, values in _phase_blocks(fld, functions):
+    a = np.zeros((len(basis), len(basis)))
+    for block, values in _phase_blocks(fld, basis):
         a[block] = -values
-    a[np.diag_indices_from(a)] += [f.alpha for f in functions]
+    a[np.diag_indices_from(a)] += basis.alpha
     return a
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass(frozen=True)
@@ -296,7 +286,7 @@ def assemble(
         )
     basis = enumerate_basis(lattice(p), m)
     if fld is None:
-        fld = potential_field(p, basis.functions, cfg or AssemblyConfig())
+        fld = potential_field(p, basis, cfg or AssemblyConfig())
     provenance = {
         "surface": p.label,
         "H": p.H,
@@ -306,7 +296,7 @@ def assemble(
         "ny": fld.ny,
     }
     return GalerkinMatrix(
-        m=m, entries=stability_matrix(fld, basis.functions), surface=p, provenance=provenance
+        m=m, entries=stability_matrix(fld, basis), surface=p, provenance=provenance
     )
 
 

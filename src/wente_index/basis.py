@@ -22,63 +22,73 @@ mode a = 0 is taken with positive b only.  The positive-sign convention on
 that boundary is extrapolated past the explicitly tabulated low shells for
 even parity; it cannot change any eigenvalue, only the sign of a basis
 vector.
+
+A basis of size m is one Basis of parallel arrays in that order: position
+i holds the function with published (1-based) basis index i + 1, and
+basis[pos] selects the sub-basis at an index array or slice of positions.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .surface import Lattice
+from .surface import Lattice, ParameterError
 
 __all__ = [
-    "BasisFunction",
-    "BasisEnumeration",
+    "Basis",
     "enumerate_basis",
     "sorted_alpha_stream",
     "count_alpha_below",
     "shell_complete_size",
     "shell_complete_sizes",
+    "shells_holding",
     "is_shell_complete",
 ]
 
 TWO_PI = 2.0 * math.pi
+# Peak bytes per point of the (m1, m2) box in sorted_alpha_stream: two int64
+# grids, the mask, and the kept halves while the grids are still alive.
+_BOX_BYTES = 25
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """One Laplacian eigenfunction: norm * phase(freq_x * x + freq_y * y)."""
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Laplacian eigenfunctions norm * (sin if sine else cos)(freq_x x + freq_y y).
 
-    index: int
-    m1: int
-    m2: int
-    phase: str  # 'sin' | 'cos'
-    freq_x: float
-    freq_y: float
-    norm: float
-    alpha: float
-    wave_x: int  # integer frequency against the rectangle width n*x_period
-    wave_y: int  # integer frequency against the rectangle height y_period
+    Parallel arrays, one entry per function in enumeration order.  wave_x
+    and wave_y are the integer frequencies against the rectangle
+    (n x_period, y_period); alpha is the eigenvalue.
+    """
 
-    def values(self, x, y):
-        """Evaluate on broadcastable coordinates."""
-        arg = self.freq_x * np.asarray(x, dtype=float) + self.freq_y * np.asarray(y, dtype=float)
-        return self.norm * (np.sin(arg) if self.phase == "sin" else np.cos(arg))
-
-
-@dataclass(frozen=True)
-class BasisEnumeration:
-    lattice: Lattice
-    functions: tuple[BasisFunction, ...]
+    wave_x: np.ndarray
+    wave_y: np.ndarray
+    sine: np.ndarray
+    freq_x: np.ndarray
+    freq_y: np.ndarray
+    norm: np.ndarray
+    alpha: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.functions)
+        return len(self.alpha)
 
-    def __getitem__(self, i: int) -> BasisFunction:
-        return self.functions[i]
+    def __getitem__(self, key) -> "Basis":
+        """The sub-basis at a slice or an index array of positions."""
+        return Basis(*(getattr(self, f.name)[key] for f in fields(self)))
+
+    def values(self, i: int, x, y):
+        """Function at position i on broadcastable coordinates."""
+        arg = self.freq_x[i] * np.asarray(x, dtype=float) + self.freq_y[i] * np.asarray(y, dtype=float)
+        return self.norm[i] * (np.sin(arg) if self.sine[i] else np.cos(arg))
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def shell_complete_size(parity: str, shells: int) -> int:
@@ -88,6 +98,14 @@ def shell_complete_size(parity: str, shells: int) -> int:
     if parity == "odd":
         return 2 * shells * shells - 2 * shells + 1
     return 4 * shells * shells - 4 * shells + 1
+
+
+def shells_holding(parity: str, m: int) -> int:
+    """Smallest number of full shells holding at least m functions (m >= 1)."""
+    shells = 1
+    while shell_complete_size(parity, shells) < m:
+        shells += 1
+    return shells
 
 
 def shell_complete_sizes(parity: str, max_size: int) -> list[int]:
@@ -104,39 +122,26 @@ def is_shell_complete(parity: str, m: int) -> bool:
     return m in shell_complete_sizes(parity, m)
 
 
-def _shell_waves(parity: str, shell: int) -> list[tuple[int, int]]:
-    """Wave pairs (a, b) of one shell, in enumeration order."""
+def _shell_waves(parity: str, shell: int) -> np.ndarray:
+    """Wave pairs (a, b) of one shell, one row each, in enumeration order."""
     if shell == 0:
-        return [(0, 0)]
+        return np.zeros((1, 2), dtype=np.int64)
     radius = shell if parity == "odd" else 2 * shell
-    pairs: list[tuple[int, int]] = []
-    for a in range(radius, -1, -1):
-        b = radius - a
-        if b == 0:
-            pairs.append((a, 0))
-        elif a > 0:
-            pairs.extend([(a, b), (a, -b)])
-        else:
-            pairs.append((0, radius))
-    return pairs
+    a = np.arange(radius - 1, 0, -1)
+    # each interior a takes b = radius - a and then its negative
+    b = np.stack([radius - a, a - radius], axis=1).ravel()
+    return np.concatenate([[[radius, 0]], np.stack([np.repeat(a, 2), b], axis=1), [[0, radius]]])
 
 
-def _mode_from_wave(parity: str, a: int, b: int) -> tuple[int, int]:
-    """Recover the lattice mode pair (m1, m2) from the wave pair (a, b)."""
-    if parity == "odd":
-        return b, a
-    return b, (a + b) // 2
-
-
-def _frequency(lat: Lattice, m1: int, m2: int) -> tuple[float, float, float]:
-    """(freq_x, freq_y, alpha) of mode (m1, m2) from the general formula."""
+def _frequencies(lat: Lattice, m1: np.ndarray, m2: np.ndarray):
+    """(freq_x, freq_y, alpha) of the modes (m1, m2), elementwise."""
     d = lat.cell_area
     fx = TWO_PI * (m2 * lat.b2 - m1 * lat.a2) / d
     fy = TWO_PI * (m1 * lat.a1 - m2 * lat.b1) / d
     return fx, fy, fx * fx + fy * fy
 
 
-def enumerate_basis(lat: Lattice, m: int) -> BasisEnumeration:
+def enumerate_basis(lat: Lattice, m: int) -> Basis:
     """First m eigenfunctions in enumeration order.
 
     A warning is issued when m cuts a shell in half: the span is then not
@@ -147,46 +152,44 @@ def enumerate_basis(lat: Lattice, m: int) -> BasisEnumeration:
         raise ValueError("m must be at least 1")
     if not is_shell_complete(lat.parity, m):
         warnings.warn(f"basis size {m} does not complete a shell ({lat.parity} parity)", stacklevel=2)
+    waves = np.concatenate([_shell_waves(lat.parity, s) for s in range(shells_holding(lat.parity, m))])
+    a, b = waves[:, 0], waves[:, 1]
+    # lattice mode (m1, m2) of each wave pair
+    fx, fy, alpha = _frequencies(lat, b, a if lat.parity == "odd" else (a + b) // 2)
+    # the constant carries the cosine only, every other mode k the sine at
+    # position 2k - 1 and the cosine at 2k
+    mode = (np.arange(m) + 1) // 2
     area = abs(lat.cell_area)
-    norm_const = math.sqrt(1.0 / area)
-    norm_mode = math.sqrt(2.0 / area)
-
-    functions: list[BasisFunction] = []
-    shell = 0
-    while len(functions) < m:
-        for a, b in _shell_waves(lat.parity, shell):
-            m1, m2 = _mode_from_wave(lat.parity, a, b)
-            fx, fy, alpha = _frequency(lat, m1, m2)
-            if (a, b) == (0, 0):
-                phases = ("cos",)
-                norm = norm_const
-            else:
-                phases = ("sin", "cos")
-                norm = norm_mode
-            for phase in phases:
-                functions.append(
-                    BasisFunction(
-                        index=len(functions) + 1,
-                        m1=m1,
-                        m2=m2,
-                        phase=phase,
-                        freq_x=fx,
-                        freq_y=fy,
-                        norm=norm,
-                        alpha=alpha,
-                        wave_x=a,
-                        wave_y=b,
-                    )
-                )
-        shell += 1
-    return BasisEnumeration(lattice=lat, functions=tuple(functions[:m]))
+    norm = np.full(m, math.sqrt(2.0 / area))
+    norm[0] = math.sqrt(1.0 / area)
+    return Basis(
+        wave_x=a[mode],
+        wave_y=b[mode],
+        sine=np.arange(m) % 2 == 1,
+        freq_x=fx[mode],
+        freq_y=fy[mode],
+        norm=norm,
+        alpha=alpha[mode],
+    )
 
 
 def _mode_radius(lat: Lattice, limit: float) -> int:
-    """Box radius in (m1, m2) guaranteed to contain every alpha < limit."""
+    """Box radius in (m1, m2) guaranteed to contain every alpha < limit.
+
+    A box beyond physical memory, or of no finite radius, raises ParameterError.
+    """
     mat = np.array([[-lat.a2, lat.b2], [lat.a1, -lat.b1]])
     sigma_min = np.linalg.svd(mat, compute_uv=False)[-1]
-    return int(math.sqrt(limit) * abs(lat.cell_area) / (TWO_PI * sigma_min)) + 1
+    radius = math.sqrt(limit) * abs(lat.cell_area) / (TWO_PI * sigma_min)
+    r = int(radius) + 1 if math.isfinite(radius) else math.inf
+    need = _BOX_BYTES * (2.0 * r + 1) * (r + 1)
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(
+            f"alpha < {limit:g} needs about {need / 2**30:.4g} GiB to enumerate its mode box; "
+            f"this machine has {have / 2**30:.1f} GiB"
+        )
+    return r
 
 
 def sorted_alpha_stream(lat: Lattice, limit: float) -> np.ndarray:
@@ -194,22 +197,20 @@ def sorted_alpha_stream(lat: Lattice, limit: float) -> np.ndarray:
 
     The enumeration box is derived from the smallest singular value of the
     frequency map, so no mode below the limit can be missed.  Comparison
-    with the limit is strict.
+    with the limit is strict.  A box too large for physical memory raises
+    ParameterError before anything is allocated.
     """
     if limit <= 0.0:
         return np.empty(0)
     r = _mode_radius(lat, limit)
     m1, m2 = np.meshgrid(np.arange(-r, r + 1), np.arange(0, r + 1), indexing="ij")
     keep = (m2 > 0) | ((m2 == 0) & (m1 > 0))
+    # drop the full grids before the frequencies are formed
     m1, m2 = m1[keep], m2[keep]
-    d = lat.cell_area
-    fx = TWO_PI * (m2 * lat.b2 - m1 * lat.a2) / d
-    fy = TWO_PI * (m1 * lat.a1 - m2 * lat.b1) / d
-    alpha = fx * fx + fy * fy
+    alpha = _frequencies(lat, m1, m2)[2]
     alpha = alpha[alpha < limit]
     # sine and cosine share each mode; the constant appears once.
-    stream = np.concatenate([[0.0], np.repeat(np.sort(alpha), 2)])
-    return stream
+    return np.concatenate([[0.0], np.repeat(np.sort(alpha), 2)])
 
 
 def count_alpha_below(lat: Lattice, limit: float, boundary_tol: float = 1e-9) -> tuple[int, int]:

@@ -23,14 +23,14 @@ lower bounds can be reproduced directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .assembly import AssemblyConfig, assemble
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
-from .basis import count_alpha_below, shell_complete_sizes
+from .basis import count_alpha_below, shell_complete_size, shells_holding
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
 from .spectrum import eigen_symmetric
 from .surface import ParameterError, SurfaceParams, lattice, potential_extrema
@@ -177,13 +177,9 @@ def greedy_subspace_search(
 
 def default_m(p: SurfaceParams, at_least: int = 81) -> int:
     """Smallest shell-complete basis size >= at_least for the surface parity."""
-    parity = "odd" if p.ell % 2 == 1 else "even"
-    size = at_least
-    while True:
-        sizes = shell_complete_sizes(parity, size)
-        if sizes and sizes[-1] >= at_least:
-            return next(s for s in sizes if s >= at_least)
-        size *= 2
+    if at_least < 1:
+        raise ParameterError(f"basis size must be at least 1, got {at_least}")
+    return shell_complete_size(p.parity, shells_holding(p.parity, at_least))
 
 
 @dataclass(frozen=True)
@@ -210,26 +206,8 @@ class IndexReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "surface": self.surface,
-            "ell": self.ell,
-            "n": self.n,
-            "H": self.H,
-            "theta_degrees": self.theta_degrees,
-            "courant_lower": self.courant_lower,
-            "sandwich_lower": self.sandwich_lower,
-            "sandwich_upper": self.sandwich_upper,
-            "subspace_lower": self.subspace_lower,
-            "galerkin_k": self.galerkin_k,
-            "index_estimate": list(self.index_estimate),
-            "m_used": self.m_used,
-            "negative_range": list(self.negative_range),
-            "first_positive_six": list(self.first_positive_six),
-            "uncertain_count": self.uncertain_count,
-            "residual_bound": self.residual_bound,
-            "zero_tol": self.zero_tol,
-            "notes": list(self.notes),
-        }
+        """Every field by name, tuples as lists (the JSON layout)."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 def full_report(
@@ -322,5 +300,3 @@ def _check_consistency(r: IndexReport) -> None:
         raise ConsistencyError(
             f"{r.surface}: Galerkin count {r.index_estimate[1]} exceeds upper bound {r.sandwich_upper}"
         )
-    if r.index_estimate[0] > r.sandwich_upper:
-        raise ConsistencyError(f"{r.surface}: estimate exceeds sandwich upper bound")

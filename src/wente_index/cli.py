@@ -222,23 +222,24 @@ def _render_report_text(payload: dict) -> str:
 
 # --- bounds ----------------------------------------------------------------
 
+def _bound_values(p) -> dict:
+    """Periods, potential extrema and analytic bounds: the columns of bounds and table2."""
+    v_min, v_max = potential_extrema(p)
+    sandwich = potential_sandwich(p)
+    return {
+        "x_period": p.x_period,
+        "y_period": p.y_period,
+        "v_min": v_min,
+        "v_max": v_max,
+        "courant_lower": courant_bound(p.ell, p.n),
+        "sandwich_lower": sandwich.lower,
+        "sandwich_upper": sandwich.upper,
+    }
+
+
 def cmd_bounds(args) -> int:
-    rows = []
-    for ell, n in _selected_surfaces(args):
-        p = _build(args, ell, n)
-        sandwich = potential_sandwich(p)
-        v_min, v_max = potential_extrema(p)
-        row = {
-            "surface": p.label,
-            "x_period": p.x_period,
-            "y_period": p.y_period,
-            "v_min": v_min,
-            "v_max": v_max,
-            "courant_lower": courant_bound(ell, n),
-            "sandwich_lower": sandwich.lower,
-            "sandwich_upper": sandwich.upper,
-        }
-        rows.append(row)
+    surfaces = [_build(args, ell, n) for ell, n in _selected_surfaces(args)]
+    rows = [{"surface": p.label, **_bound_values(p)} for p in surfaces]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "version": __version__,
@@ -267,26 +268,15 @@ def cmd_table2(args) -> int:
     rows = []
     for ref in REFERENCE_GEOMETRY:
         ell, n = _parse_surface(ref.surface)
-        p = build_surface(ell, n, args.H, ref.theta_degrees)
-        v_min, v_max = potential_extrema(p)
-        sandwich = potential_sandwich(p)
-        computed = {
-            "x_period": p.x_period,
-            "y_period": p.y_period,
-            "v_min": v_min,
-            "v_max": v_max,
-            "courant_lower": courant_bound(ell, n),
-            "sandwich_lower": sandwich.lower,
-            "sandwich_upper": sandwich.upper,
-        }
+        computed = _bound_values(build_surface(ell, n, args.H, ref.theta_degrees))
         checks = {
-            "x_period": abs(p.x_period - ref.x_period) <= TOL_PERIOD,
-            "y_period": abs(p.y_period - ref.y_period) <= ref.y_tolerance,
-            "v_min": abs(v_min - ref.v_min) <= 1e-12,
-            "v_max": abs(v_max - ref.v_max) <= TOL_VMAX_REL * ref.v_max,
+            "x_period": abs(computed["x_period"] - ref.x_period) <= TOL_PERIOD,
+            "y_period": abs(computed["y_period"] - ref.y_period) <= ref.y_tolerance,
+            "v_min": abs(computed["v_min"] - ref.v_min) <= 1e-12,
+            "v_max": abs(computed["v_max"] - ref.v_max) <= TOL_VMAX_REL * ref.v_max,
             "courant_lower": computed["courant_lower"] == ref.courant_lower,
-            "sandwich_lower": sandwich.lower == ref.sandwich_lower,
-            "sandwich_upper": sandwich.upper == ref.sandwich_upper,
+            "sandwich_lower": computed["sandwich_lower"] == ref.sandwich_lower,
+            "sandwich_upper": computed["sandwich_upper"] == ref.sandwich_upper,
         }
         rows.append(
             {

@@ -44,7 +44,6 @@ class SpectrumEstimate:
     first_positive_six: tuple[float, ...]
     zero_tol: float
     uncertain_count: int
-    eigenvectors: np.ndarray | None = None  # columns, same order as eigenvalues
 
     @property
     def norm(self) -> float:
@@ -95,6 +94,5 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
         first_positive_six=first_six,
         zero_tol=zero_tol,
         uncertain_count=uncertain,
-        eigenvectors=vectors,
     )
 

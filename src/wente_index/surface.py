@@ -133,6 +133,10 @@ def build_surface(ell: int, n: int, H: float = 0.5, theta_degrees: float | None 
     # f(x) = gamma cn_k(alpha x) repeats when alpha x advances by 4K(k).
     x_period = 4.0 * complete_K(k) / alpha
     y_period = 4.0 * complete_K(k_bar) / alpha_bar
+    constants = {"alpha": alpha, "alpha_bar": alpha_bar, "x_period": x_period, "y_period": y_period}
+    if not all(math.isfinite(v) and v > 0.0 for v in constants.values()):
+        shown = ", ".join(f"{name}={value:g}" for name, value in constants.items())
+        raise ParameterError(f"H={H:g}, theta={theta_degrees:g} give no finite positive periods: {shown}")
     return SurfaceParams(
         ell=ell,
         n=n,

@@ -195,34 +195,33 @@ def test_criterion_7_route_equivalence():
         p = catalog_surface(ell, n)
         m = 85 if p.ell % 2 == 1 else 81
         basis = enumerate_basis(lattice(p), m)
-        fld = potential_field(p, basis.functions, AssemblyConfig(nx=64, ny=64))
-        gathered = b_matrix(fld, basis.functions)
+        fld = potential_field(p, basis, AssemblyConfig(nx=64, ny=64))
+        gathered = b_matrix(fld, basis)
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(0, m, size=2))
             bf = gathered[i, j]
-            bq = b_entry_quadrature(fld, basis[i], basis[j])
+            bq = b_entry_quadrature(fld, basis, i, j)
             if abs(bf - bq) > 1e-9 * max(1.0, abs(bf)):
                 failures.append(f"{label}: entry ({i+1},{j+1}) gathered {bf:.3e} vs quadrature {bq:.3e}")
         # parity zero rule: exact in the gathered matrix, tiny on quadrature
         mixed = [(0, 1), (1, 2), (4, 7), (9, 12)]
         for i, j in mixed:
-            if basis[i].phase == basis[j].phase:
+            if basis.sine[i] == basis.sine[j]:
                 continue
             if gathered[i, j] != 0.0:
                 failures.append(f"{label}: mixed-phase entry ({i+1},{j+1}) not exactly zero")
-            if abs(b_entry_quadrature(fld, basis[i], basis[j])) > 1e-10:
+            if abs(b_entry_quadrature(fld, basis, i, j)) > 1e-10:
                 failures.append(f"{label}: mixed-phase quadrature entry ({i+1},{j+1}) above 1e-10")
         # constant-row rule: cosine modes off the potential's frequency lattice
-        u1 = basis[0]
-        for f in basis.functions[1:30]:
-            if f.phase != "cos":
+        for j in range(1, 30):
+            if basis.sine[j]:
                 continue
-            if f.wave_x % (2 * p.n) == 0 and f.wave_y % 2 == 0:
+            if basis.wave_x[j] % (2 * p.n) == 0 and basis.wave_y[j] % 2 == 0:
                 continue
-            if gathered[0, f.index - 1] != 0.0:
-                failures.append(f"{label}: constant-row entry (1,{f.index}) not exactly zero")
-            if abs(b_entry_quadrature(fld, u1, f)) > 1e-10:
-                failures.append(f"{label}: constant-row quadrature entry (1,{f.index}) above 1e-10")
+            if gathered[0, j] != 0.0:
+                failures.append(f"{label}: constant-row entry (1,{j+1}) not exactly zero")
+            if abs(b_entry_quadrature(fld, basis, 0, j)) > 1e-10:
+                failures.append(f"{label}: constant-row quadrature entry (1,{j+1}) above 1e-10")
     _conclude(7, "gathered matrix equals the quadrature oracle; zero rules hold", failures)
 
 
@@ -254,7 +253,7 @@ def test_criterion_8_property_suite(reference_reports):
         x = (np.arange(256) * (width / 256))[:, None]
         y = (np.arange(256) * (p.y_period / 256))[None, :]
         cell = (width / 256) * (p.y_period / 256)
-        vals = [f.values(x, y) for f in basis.functions[:30]]
+        vals = [basis.values(i, x, y) for i in range(30)]
         gram = np.array([[float(np.sum(a * b)) * cell for b in vals] for a in vals])
         if np.max(np.abs(gram - np.eye(30))) > 1e-10:
             failures.append(f"{label}: basis not orthonormal to 1e-10")

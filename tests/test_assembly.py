@@ -28,9 +28,9 @@ W32_CERTIFIED_INDICES = (1, 2, 3, 4, 5, 7, 8, 9, 17)
 W32_CERTIFIED_DIAGONAL = (-9.50, -7.99, -7.99, -1.36, -13.2, -8.70, -5.76, -5.76, -5.50)
 
 
-def _entry(fld, ui, uj):
-    """One entry b_ij through the matrix kernel."""
-    return float(b_matrix(fld, [ui, uj])[0, 1])
+def _entry(fld, basis, i, j):
+    """One entry b_ij at basis positions i, j through the matrix kernel."""
+    return float(b_matrix(fld, basis[[i, j]])[0, 1])
 
 
 def _loop_assemble(fld, basis):
@@ -43,21 +43,21 @@ def _loop_assemble(fld, basis):
             return 0.0
         return float(fld.coeffs[a // (2 * n), b // 2])
 
+    wave_x, wave_y, sine = basis.wave_x.tolist(), basis.wave_y.tolist(), basis.sine.tolist()
+    norm, alpha = basis.norm.tolist(), basis.alpha.tolist()
     m = len(basis)
     a = np.zeros((m, m))
     for i in range(m):
-        ui = basis[i]
         for j in range(i, m):
-            uj = basis[j]
-            if ui.phase != uj.phase:
+            if sine[i] != sine[j]:
                 continue
-            diff = coeff(ui.wave_x - uj.wave_x, ui.wave_y - uj.wave_y)
-            total = coeff(ui.wave_x + uj.wave_x, ui.wave_y + uj.wave_y)
-            value = 0.5 * (diff - total) if ui.phase == "sin" else 0.5 * (diff + total)
-            b = ui.norm * uj.norm * fld.area * value
+            diff = coeff(wave_x[i] - wave_x[j], wave_y[i] - wave_y[j])
+            total = coeff(wave_x[i] + wave_x[j], wave_y[i] + wave_y[j])
+            value = 0.5 * (diff - total) if sine[i] else 0.5 * (diff + total)
+            b = norm[i] * norm[j] * fld.area * value
             a[i, j] = -b
             a[j, i] = -b
-        a[i, i] += ui.alpha
+        a[i, i] += alpha[i]
     return a
 
 
@@ -156,55 +156,52 @@ class TestSampling:
     def test_coefficient_range_error(self, w32):
         fld = sample_potential(w32, 128, 128, pmax=0, qmax=2)
         basis = enumerate_basis(lattice(w32), 13)
-        b_matrix(fld, [basis[4]])  # wave (0, 1): its sums stay within the table
+        b_matrix(fld, basis[4:5])  # wave (0, 1): its sums stay within the table
         with pytest.raises(CoefficientRangeError):
-            b_matrix(fld, [basis[5]])  # wave (2, 0): sum (4, 0) is cell frequency (1, 0)
+            b_matrix(fld, basis[5:6])  # wave (2, 0): sum (4, 0) is cell frequency (1, 0)
 
 
 class TestEntries:
     def test_constant_potential_b11(self, w32):
         fld = _constant_field(w32, 3.25)
         basis = enumerate_basis(lattice(w32), 5)
-        u1 = basis[0]
-        assert _entry(fld, u1, u1) == pytest.approx(3.25, rel=1e-13)
-        assert b_entry_quadrature(fld, u1, u1) == pytest.approx(3.25, rel=1e-13)
+        assert _entry(fld, basis, 0, 0) == pytest.approx(3.25, rel=1e-13)
+        assert b_entry_quadrature(fld, basis, 0, 0) == pytest.approx(3.25, rel=1e-13)
 
     def test_constant_potential_off_diagonal(self, w32):
         fld = _constant_field(w32, 3.25)
         basis = enumerate_basis(lattice(w32), 5)
         # same phase, different modes: orthogonality kills the entry
-        assert _entry(fld, basis[1], basis[3]) == pytest.approx(0.0, abs=1e-15)
-        assert b_entry_quadrature(fld, basis[1], basis[3]) == pytest.approx(0.0, abs=1e-12)
+        assert _entry(fld, basis, 1, 3) == pytest.approx(0.0, abs=1e-15)
+        assert b_entry_quadrature(fld, basis, 1, 3) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_phase_is_exact_zero_fourier(self, w32_field, w32):
         basis = enumerate_basis(lattice(w32), 13)
-        assert _entry(w32_field, basis[0], basis[1]) == 0.0
-        assert _entry(w32_field, basis[3], basis[4]) == 0.0
+        assert _entry(w32_field, basis, 0, 1) == 0.0
+        assert _entry(w32_field, basis, 3, 4) == 0.0
 
     def test_mixed_phase_small_on_quadrature(self, w32_field, w32):
         basis = enumerate_basis(lattice(w32), 13)
         for i, j in ((0, 1), (1, 2), (3, 6), (8, 11)):
-            if basis[i].phase == basis[j].phase:
+            if basis.sine[i] == basis.sine[j]:
                 continue
-            assert abs(b_entry_quadrature(w32_field, basis[i], basis[j])) < 1e-10
+            assert abs(b_entry_quadrature(w32_field, basis, i, j)) < 1e-10
 
     def test_constant_row_zero_rule(self, w32_field, w32):
         # entries pairing the constant with a cosine mode vanish unless the
         # mode lies on the potential's own frequency lattice
         basis = enumerate_basis(lattice(w32), 25)
-        u1 = basis[0]
-        for f in basis.functions[1:]:
-            if f.phase != "cos":
+        for j in range(1, 25):
+            if basis.sine[j]:
                 continue
-            on_lattice = f.wave_x % (2 * w32.n) == 0 and f.wave_y % 2 == 0
+            on_lattice = basis.wave_x[j] % (2 * w32.n) == 0 and basis.wave_y[j] % 2 == 0
             if not on_lattice:
-                assert _entry(w32_field, u1, f) == 0.0
-                assert abs(b_entry_quadrature(w32_field, u1, f)) < 1e-10
+                assert _entry(w32_field, basis, 0, j) == 0.0
+                assert abs(b_entry_quadrature(w32_field, basis, 0, j)) < 1e-10
 
     def test_mean_entry_matches_table(self, w32_field, w32):
         # alpha_1 - b_11 is the (1,1) entry of the published 9x9 matrix
-        u1 = enumerate_basis(lattice(w32), 5)[0]
-        b11 = _entry(w32_field, u1, u1)
+        b11 = _entry(w32_field, enumerate_basis(lattice(w32), 5), 0, 0)
         assert 0.0 - b11 == pytest.approx(-9.50, abs=0.05)
 
     @pytest.mark.parametrize("surface", ["w32", "w43"])
@@ -214,20 +211,20 @@ class TestEntries:
         m = 41 if p.ell % 2 == 1 else 49
         basis = enumerate_basis(lattice(p), m)
         for _ in range(50):
-            i, j = rng.integers(0, m, size=2)
-            bf = _entry(fld, basis[int(i)], basis[int(j)])
-            bq = b_entry_quadrature(fld, basis[int(i)], basis[int(j)])
+            i, j = (int(v) for v in rng.integers(0, m, size=2))
+            bf = _entry(fld, basis, i, j)
+            bq = b_entry_quadrature(fld, basis, i, j)
             assert abs(bf - bq) <= 1e-9 * max(1.0, abs(bf)), (i, j)
 
     def test_nyquist_guard(self, w32):
         # 64 samples per cell resolve y waves below 64; the pair reaches 2 * 32
         fld = sample_potential(w32, 64, 64, pmax=31, qmax=31)
         basis = enumerate_basis(lattice(w32), 2113)
-        high = max(basis.functions, key=lambda f: abs(f.wave_y))
-        assert abs(high.wave_y) == 32
+        high = int(np.argmax(np.abs(basis.wave_y)))
+        assert abs(basis.wave_y[high]) == 32
         with pytest.raises(NyquistError):
-            b_entry_quadrature(fld, high, high)
-        b_entry_quadrature(sample_potential(w32, 64, 128, 1, 1), high, high)
+            b_entry_quadrature(fld, basis, high, high)
+        b_entry_quadrature(sample_potential(w32, 64, 128, 1, 1), basis, high, high)
 
 
 class TestAssemble:
@@ -235,7 +232,7 @@ class TestAssemble:
         basis = enumerate_basis(lattice(w32), 13)
         fld = _constant_field(w32, 0.0)
         mat = assemble(w32, 13, AssemblyConfig(nx=128, ny=128), fld=fld)
-        np.testing.assert_array_equal(mat.entries, np.diag([f.alpha for f in basis.functions]))
+        np.testing.assert_array_equal(mat.entries, np.diag(basis.alpha))
 
     def test_symmetric_bit_exact(self, w32, fast_cfg):
         mat = assemble(w32, 41, fast_cfg).entries
@@ -266,7 +263,7 @@ class TestAssemble:
     def test_matches_scalar_reference(self, surface, m, request):
         p = request.getfixturevalue(surface)
         basis = enumerate_basis(lattice(p), m)
-        fld = potential_field(p, basis.functions, AssemblyConfig(nx=256, ny=256))
+        fld = potential_field(p, basis, AssemblyConfig(nx=256, ny=256))
         got = assemble(p, m, fld=fld).entries
         expected = _loop_assemble(fld, basis)
         assert np.array_equal(got, expected)
@@ -275,9 +272,9 @@ class TestAssemble:
     def test_quadrature_oracle_matches_assemble(self, w43):
         basis = enumerate_basis(lattice(w43), 25)
         cfg = AssemblyConfig(nx=64, ny=64)
-        fld = potential_field(w43, basis.functions, cfg)
-        quad = np.array([[b_entry_quadrature(fld, ui, uj) for uj in basis.functions] for ui in basis.functions])
-        oracle = np.diag([f.alpha for f in basis.functions]) - quad
+        fld = potential_field(w43, basis, cfg)
+        quad = np.array([[b_entry_quadrature(fld, basis, i, j) for j in range(25)] for i in range(25)])
+        oracle = np.diag(basis.alpha) - quad
         assembled = assemble(w43, 25, cfg).entries
         assert np.max(np.abs(assembled - oracle)) <= 1e-9
 
@@ -288,9 +285,9 @@ class TestAssemble:
         # table at a report's extent by no more than rtol of its largest entry
         p = build_surface(ell, n, 0.5, theta)
         assert potential_extrema(p)[1] > 2e4
-        functions = enumerate_basis(lattice(p), 181).functions
-        default = potential_field(p, functions, AssemblyConfig())
-        doubled = potential_field(p, functions, AssemblyConfig(nx=512, ny=512))
+        basis = enumerate_basis(lattice(p), 181)
+        default = potential_field(p, basis, AssemblyConfig())
+        doubled = potential_field(p, basis, AssemblyConfig(nx=512, ny=512))
         assert default.nx == 256 and default.coeffs.shape == doubled.coeffs.shape
         scale = np.max(np.abs(doubled.coeffs))
         assert np.max(np.abs(default.coeffs - doubled.coeffs)) <= rtol * scale
@@ -321,11 +318,11 @@ class TestAssemble:
         # the field sampled for a basis has exactly the extent its products reach
         for p, m in ((w32, 41), (w43, 49)):
             basis = enumerate_basis(lattice(p), m)
-            fld = potential_field(p, basis.functions, AssemblyConfig(nx=256, ny=256))
-            b_matrix(fld, basis.functions)
-            widest = max(basis.functions, key=lambda f: abs(f.wave_y))
+            fld = potential_field(p, basis, AssemblyConfig(nx=256, ny=256))
+            b_matrix(fld, basis)
+            widest = np.argmax(np.abs(basis.wave_y), keepdims=True)
             with pytest.raises(CoefficientRangeError):
-                b_matrix(dataclasses.replace(fld, coeffs=fld.coeffs[:, :-1]), [widest])
+                b_matrix(dataclasses.replace(fld, coeffs=fld.coeffs[:, :-1]), basis[widest])
 
 
 class TestCache:
@@ -347,7 +344,7 @@ class TestCache:
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 13)
-        assert np.array_equal(b_matrix(loaded, basis.functions), b_matrix(fld, basis.functions))
+        assert np.array_equal(b_matrix(loaded, basis), b_matrix(fld, basis))
 
     def test_quadrature_requires_grid(self, w32, tmp_path):
         fld = sample_potential(w32, 128, 128, 12, 12)
@@ -356,7 +353,7 @@ class TestCache:
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 5)
         with pytest.raises(ValueError):
-            b_entry_quadrature(loaded, basis[0], basis[0])
+            b_entry_quadrature(loaded, basis, 0, 0)
 
     def test_rejects_corrupt_files(self, w32, tmp_path):
         target = tmp_path / "bad.wntpot"

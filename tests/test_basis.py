@@ -1,17 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import wente_index.basis as basis_mod
 from wente_index.basis import (
     count_alpha_below,
     enumerate_basis,
     is_shell_complete,
     shell_complete_size,
     shell_complete_sizes,
+    shells_holding,
     sorted_alpha_stream,
 )
-from wente_index.surface import lattice, potential_extrema
+from wente_index.surface import ParameterError, lattice, potential_extrema
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,69 +38,90 @@ EVEN_FIRST_13 = [
     (4, 0, "sin"), (4, 0, "cos"),
     (3, 1, "sin"), (3, 1, "cos"),
 ]
+# SHA-256 of the int64 rows (wave_x, wave_y, sine) over a whole large basis,
+# recorded from a scalar, function-by-function enumeration; any reordering,
+# at any position, changes them.
+ORDER_DIGESTS = {
+    ("w32", 2113): "2d56f1dfe392c619b9fbd09f31fdc5c24d1041b6702ef71a09a94b12e6071f15",
+    ("w43", 2025): "31ffa1a670373685cced64f1f73b122065617dfab2a20a2df95d21b7db43fd4c",
+}
 
 
 def _alpha(p, a, b):
     return 4.0 * math.pi**2 * ((a / (p.n * p.x_period)) ** 2 + (b / p.y_period) ** 2)
 
 
+def _triples(basis):
+    return [(int(a), int(b), "sin" if s else "cos") for a, b, s in zip(basis.wave_x, basis.wave_y, basis.sine)]
+
+
 class TestOrdering:
     def test_odd_first_13(self, w32):
         basis = enumerate_basis(lattice(w32), 13)
-        got = [(f.wave_x, f.wave_y, f.phase) for f in basis.functions]
-        assert got == ODD_FIRST_13
+        assert _triples(basis) == ODD_FIRST_13
 
     def test_even_first_13(self, w43):
         basis = enumerate_basis(lattice(w43), 25)
-        got = [(f.wave_x, f.wave_y, f.phase) for f in basis.functions[:13]]
-        assert got == EVEN_FIRST_13
+        assert _triples(basis[:13]) == EVEN_FIRST_13
 
     def test_odd_next_shell_prefix(self, w32):
-        basis = enumerate_basis(lattice(w32), 25)
-        got = [(f.wave_x, f.wave_y) for f in basis.functions[13:25:2]]
+        basis = enumerate_basis(lattice(w32), 25)[13:25:2]
+        got = list(zip(basis.wave_x.tolist(), basis.wave_y.tolist()))
         assert got == [(3, 0), (2, 1), (2, -1), (1, 2), (1, -2), (0, 3)]
 
-    def test_indices_are_one_based_and_sequential(self, w32):
-        basis = enumerate_basis(lattice(w32), 13)
-        assert [f.index for f in basis.functions] == list(range(1, 14))
+    @pytest.mark.parametrize("surface,m", sorted(ORDER_DIGESTS))
+    def test_whole_order_is_pinned(self, surface, m, request):
+        basis = enumerate_basis(lattice(request.getfixturevalue(surface)), m)
+        rows = np.stack([basis.wave_x, basis.wave_y, basis.sine]).astype("<i8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == ORDER_DIGESTS[surface, m]
+
+    def test_sub_basis_selects_positions(self, w32):
+        basis = enumerate_basis(lattice(w32), 25)
+        pos = np.array([16, 0, 8])  # published indices 17, 1, 9
+        sub = basis[pos]
+        assert len(sub) == 3
+        for name in ("wave_x", "wave_y", "sine", "freq_x", "freq_y", "norm", "alpha"):
+            assert np.array_equal(getattr(sub, name), getattr(basis, name)[pos]), name
 
 
 class TestEigenvalues:
     def test_constant_mode(self, w32):
-        f = enumerate_basis(lattice(w32), 1)[0]
-        assert f.alpha == 0.0
-        assert f.phase == "cos"
+        f = enumerate_basis(lattice(w32), 1)
+        assert f.alpha[0] == 0.0
+        assert not f.sine[0]
         lat = lattice(w32)
-        assert f.norm == pytest.approx(math.sqrt(1.0 / lat.cell_area), rel=1e-15)
+        assert f.norm[0] == pytest.approx(math.sqrt(1.0 / lat.cell_area), rel=1e-15)
 
     def test_odd_u2(self, w32):
-        f = enumerate_basis(lattice(w32), 5)[1]
+        f = enumerate_basis(lattice(w32), 5)[1:2]
         lat = lattice(w32)
-        assert f.alpha == pytest.approx(_alpha(w32, 1, 0), rel=1e-13)
-        assert f.freq_x == pytest.approx(TWO_PI / (w32.n * w32.x_period), rel=1e-13)
-        assert f.freq_y == 0.0
-        assert f.norm == pytest.approx(math.sqrt(2.0 / lat.cell_area), rel=1e-15)
+        assert f.alpha[0] == pytest.approx(_alpha(w32, 1, 0), rel=1e-13)
+        assert f.freq_x[0] == pytest.approx(TWO_PI / (w32.n * w32.x_period), rel=1e-13)
+        assert f.freq_y[0] == 0.0
+        assert f.norm[0] == pytest.approx(math.sqrt(2.0 / lat.cell_area), rel=1e-15)
 
     def test_even_u4(self, w43):
-        f = enumerate_basis(lattice(w43), 9)[3]
-        assert f.phase == "sin"
-        assert (f.wave_x, f.wave_y) == (1, 1)
-        assert f.alpha == pytest.approx(_alpha(w43, 1, 1), rel=1e-13)
+        f = enumerate_basis(lattice(w43), 9)[3:4]
+        assert f.sine[0]
+        assert (f.wave_x[0], f.wave_y[0]) == (1, 1)
+        assert f.alpha[0] == pytest.approx(_alpha(w43, 1, 1), rel=1e-13)
         lat = lattice(w43)
         # |cell| = n x y / 2, so the normalization is sqrt(4/(n x y))
-        assert f.norm == pytest.approx(
+        assert f.norm[0] == pytest.approx(
             math.sqrt(4.0 / (w43.n * w43.x_period * w43.y_period)), rel=1e-13
         )
         assert lat.cell_area == pytest.approx(w43.n * w43.x_period * w43.y_period / 2, rel=1e-13)
 
     def test_alpha_equals_frequency_square_exactly(self, w32, w43):
-        for p, m in ((w32, 41), (w43, 49)):
-            for f in enumerate_basis(lattice(p), m).functions:
-                assert f.alpha == f.freq_x * f.freq_x + f.freq_y * f.freq_y
+        for p, m in ((w32, 41), (w43, 49), (w32, 2113), (w43, 2025)):
+            f = enumerate_basis(lattice(p), m)
+            # element by element in Python floats, the scalar formula
+            for alpha, fx, fy in zip(f.alpha.tolist(), f.freq_x.tolist(), f.freq_y.tolist()):
+                assert alpha == fx * fx + fy * fy
 
     def test_even_parity_wave_sum_is_even(self, w43):
-        for f in enumerate_basis(lattice(w43), 81).functions:
-            assert (f.wave_x + f.wave_y) % 2 == 0
+        f = enumerate_basis(lattice(w43), 81)
+        assert np.all((f.wave_x + f.wave_y) % 2 == 0)
 
 
 class TestOrthonormality:
@@ -111,7 +135,7 @@ class TestOrthonormality:
         x = (np.arange(nx) * (width / nx))[:, None]
         y = (np.arange(ny) * (p.y_period / ny))[None, :]
         cell = (width / nx) * (p.y_period / ny)
-        values = [f.values(x, y) for f in basis.functions]
+        values = [basis.values(i, x, y) for i in range(30)]
         for i in range(30):
             for j in range(i, 30):
                 integral = float(np.sum(values[i] * values[j])) * cell
@@ -120,15 +144,15 @@ class TestOrthonormality:
 
     def test_laplacian_eigenfunction_relation(self, w32, rng):
         # -Laplacian u = alpha u, checked by finite differences
-        f = enumerate_basis(lattice(w32), 13)[7]
+        basis = enumerate_basis(lattice(w32), 13)
         h = 1e-5
         x0, y0 = 0.37, 0.81
-        lap = (
-            f.values(x0 + h, y0) + f.values(x0 - h, y0)
-            + f.values(x0, y0 + h) + f.values(x0, y0 - h)
-            - 4.0 * f.values(x0, y0)
-        ) / (h * h)
-        assert -lap == pytest.approx(f.alpha * f.values(x0, y0), rel=1e-5)
+
+        def u(x, y):
+            return basis.values(7, x, y)
+
+        lap = (u(x0 + h, y0) + u(x0 - h, y0) + u(x0, y0 + h) + u(x0, y0 - h) - 4.0 * u(x0, y0)) / (h * h)
+        assert -lap == pytest.approx(basis.alpha[7] * u(x0, y0), rel=1e-5)
 
 
 class TestShellSizes:
@@ -156,6 +180,16 @@ class TestShellSizes:
         with pytest.raises(ValueError):
             shell_complete_size("odd", 0)
 
+    def test_shells_holding(self):
+        for parity, sizes in (("odd", [1, 5, 13, 25]), ("even", [1, 9, 25, 49])):
+            for shells, size in enumerate(sizes, start=1):
+                assert shells_holding(parity, size) == shells
+                assert shells_holding(parity, size + 1) == shells + 1
+
+    def test_enumeration_requires_positive_size(self, w32):
+        with pytest.raises(ValueError):
+            enumerate_basis(lattice(w32), 0)
+
 
 class TestAlphaStream:
     def test_tiny_limit_gives_only_constant(self, w32):
@@ -182,12 +216,12 @@ class TestAlphaStream:
         for p, parity_shells in ((w32, 9), (w43, 5)):
             lat = lattice(p)
             m = shell_complete_size(lat.parity, parity_shells)
-            alphas = sorted(f.alpha for f in enumerate_basis(lat, m).functions)
+            alphas = np.sort(enumerate_basis(lat, m).alpha)
             radius = parity_shells - 1 if lat.parity == "odd" else 2 * (parity_shells - 1)
             extent = max(p.n * p.x_period, p.y_period)
             safe_limit = 4.0 * math.pi**2 * (radius + 1) ** 2 / (2.0 * extent**2)
             stream = sorted_alpha_stream(lat, safe_limit)
-            truncated = [a for a in alphas if a < safe_limit]
+            truncated = alphas[alphas < safe_limit]
             np.testing.assert_allclose(stream, truncated, rtol=1e-12)
 
     def test_count_below_flags_boundary(self, w32):
@@ -197,6 +231,13 @@ class TestAlphaStream:
         below, near = count_alpha_below(lat, level, boundary_tol=1e-9)
         assert near >= 1
         assert below == int(np.sum(stream < level))
+
+    @pytest.mark.parametrize("limit", [1e3, float("inf"), float("nan")])
+    def test_refuses_a_box_beyond_memory(self, w32, monkeypatch, limit):
+        # alpha < 1e3 on 3/2 needs a box of radius 26, about 36 kB by the guard's rule
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 1000)
+        with pytest.raises(ParameterError, match="mode box"):
+            sorted_alpha_stream(lattice(w32), limit)
 
     def test_multiplicity_pairs(self, w32):
         stream = sorted_alpha_stream(lattice(w32), 30.0)

@@ -105,7 +105,7 @@ class TestSubspace:
         indices = SUBSPACE_SETS[p.label]
         sub = subspace_bound(p, indices, form=assemble(p, m, fld=fld).entries).matrix
         basis = enumerate_basis(lattice(p), m)
-        direct = stability_matrix(fld, [basis[i - 1] for i in indices])
+        direct = stability_matrix(fld, basis[np.array(indices) - 1])
         assert np.array_equal(sub, direct)
         assert np.array_equal(np.signbit(sub), np.signbit(direct))
 
@@ -208,6 +208,12 @@ class TestFullReport:
     def test_default_m_is_shell_complete(self, w32, w43):
         assert default_m(w32) == 85
         assert default_m(w43) == 81
+
+    @pytest.mark.parametrize("at_least", [0, -5])
+    def test_default_m_rejects_sizes_below_one(self, w32, at_least):
+        with pytest.raises(ParameterError, match="at least 1"):
+            default_m(w32, at_least)
+        assert default_m(w32, 1) == 1
 
     def test_underconverged_m_is_flagged_not_fatal(self):
         p = catalog_surface(21, 20)

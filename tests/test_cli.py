@@ -146,6 +146,25 @@ class TestBounds:
         assert len(lines) == 2
         assert "sandwich_lower" in lines[0]
 
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("-H", "1e308", "no finite positive periods"),
+            ("-H", "1e-300", "mode box"),
+            ("--theta", "1e-9", "mode box"),
+        ],
+    )
+    def test_out_of_range_surface_is_usage_error(self, capsys, monkeypatch, option, value, message):
+        import wente_index.basis as basis_mod
+
+        # 1 GiB, so the guard and not this machine's memory decides
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 2**30)
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--surface", "3/2", option, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestTables:
     def test_table2_all_rows_pass(self, capsys):

@@ -32,16 +32,16 @@ class TestEigenSymmetric:
         with pytest.raises(ValueError):
             eigen_symmetric(np.zeros((2, 3)))
 
-    def test_residual_orthogonality_reconstruction(self, rng):
+    def test_residual_and_spectral_invariants(self, rng):
         mat = rng.standard_normal((60, 60))
         mat = mat + mat.T
         est = eigen_symmetric(mat)
         norm = est.norm
         assert est.residual_bound <= 1e-10 * norm
-        q = est.eigenvectors
-        assert np.max(np.abs(q.T @ q - np.eye(60))) <= 1e-10
-        rebuilt = q @ np.diag(est.eigenvalues) @ q.T
-        assert np.max(np.abs(rebuilt - mat)) <= 1e-9 * norm
+        # the trace and the Frobenius norm are those of the spectrum
+        assert np.sum(est.eigenvalues) == pytest.approx(np.trace(mat), abs=1e-10 * 60 * norm)
+        assert np.sum(est.eigenvalues**2) == pytest.approx(np.sum(mat * mat), rel=1e-12)
+        assert est.norm == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
 
     def test_accepts_galerkin_matrix(self, w32, fast_cfg):
         mat = assemble(w32, 13, fast_cfg)
@@ -55,7 +55,7 @@ class TestEigenSymmetric:
         est1 = eigen_symmetric(mat)
         est2 = eigen_symmetric(mat)
         assert np.array_equal(est1.eigenvalues, est2.eigenvalues)
-        assert np.array_equal(est1.eigenvectors, est2.eigenvectors)
+        assert est1.residual_bound == est2.residual_bound
 
 
 class TestCounting:
@@ -106,8 +106,7 @@ class TestNullityDiagnostic:
         np.testing.assert_allclose(six, est.eigenvalues[start : start + 6], rtol=0)
 
     def test_zero_potential_shows_laplacian_spectrum(self, w32):
-        basis = enumerate_basis(lattice(w32), 13)
-        alphas = np.array([f.alpha for f in basis.functions])
+        alphas = enumerate_basis(lattice(w32), 13).alpha
         est = eigen_symmetric(np.diag(alphas))
         six = est.first_positive_six
         expected = np.sort(alphas)[1:7]  # constant excluded: it is the zero mode
