@@ -6,11 +6,18 @@ so everything assembly needs is the cosine-coefficient table of V on its own
 period cell [0, x_period/2) x [0, y_period/2); the table does not depend on
 the lattice parity of the torus.
 
-One vectorized gather reads the Basis arrays and that table: b_matrix
-returns b_ij and stability_matrix the form, on any basis[pos] (published
-index i is position i - 1).  assemble is the only code that enumerates
-the basis and samples V for the index computations; subspace restrictions
-and the greedy search are principal submatrices of the matrix it returns.
+Against the basis waves those coefficients sit on the lattice (2n, 2), so
+b_ij vanishes unless w_i - w_j or w_i + w_j lies on it: A_m is block
+diagonal over the sectors of (wave_x mod 2n, wave_y mod 2) up to sign,
+split again by phase (the Floquet-Bloch reduction).  assemble returns
+those blocks, each with its positions in the published order (published
+index i is position i - 1), from one vectorized gather over every pair
+within a sector; it is the only code that enumerates the basis and
+samples V for the index computations.  GalerkinMatrix.principal scatters
+a subspace restriction out of the blocks it meets and .entries the dense
+matrix; b_matrix and stability_matrix are the same scatters on any
+basis[pos].  Between sectors the form holds -0.0 for two functions of one
+phase (the negated zero b_ij) and +0.0 across phases.
 
 b_entry_quadrature applies the periodic trapezoid rule to one entry, with
 the cell samples tiled over a fundamental domain of the torus.  There it is
@@ -25,6 +32,7 @@ import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,12 +43,15 @@ __all__ = [
     "AssemblyConfig",
     "PotentialField",
     "GalerkinMatrix",
+    "SectorBlock",
     "CoefficientRangeError",
     "NyquistError",
     "sample_potential",
     "cached_sample_potential",
     "potential_field",
     "b_entry_quadrature",
+    "sector_positions",
+    "gather_sectors",
     "b_matrix",
     "stability_matrix",
     "assemble",
@@ -52,10 +63,10 @@ __all__ = [
 # Samples per period cell; resolves every catalogued potential (and theta up
 # to 24.5 degrees) to about 1e-11 relative.
 DEFAULT_GRID = 256
-# Peak memory of a report at size m, in dense m x m float64 matrices: a report
-# at m = 2113 peaks about five above its baseline (the matrix, eigenvectors,
-# residual product and temporaries); one more is headroom.
-DENSE_PEAK_MATRICES = 6
+# Peak bytes of a report per in-sector pair (a pair of functions in one
+# sector): the gather peaks at about 66 (index arrays, wave sums, their
+# coefficients and the blocks) at m = 1013 and 2113; the rest is headroom.
+SECTOR_PAIR_BYTES = 80
 
 
 class CoefficientRangeError(ValueError):
@@ -127,18 +138,10 @@ class PotentialField:
         """Largest |sine-coupled coefficient|; a symmetry diagnostic, ~0 for even V."""
         if self.grid is None:
             raise ValueError("field was loaded without grid samples")
-        pmax = self.coeffs.shape[0] - 1 if pmax is None else pmax
-        qmax = self.coeffs.shape[1] - 1 if qmax is None else qmax
-        cx, sx = _transform_vectors(self.nx, pmax)
-        cy, sy = _transform_vectors(self.ny, qmax)
-        scale = 1.0 / (self.nx * self.ny)
-        worst = 0.0
-        for left in (cx, sx):
-            for right in (cy, sy):
-                if left is cx and right is cy:
-                    continue
-                worst = max(worst, float(np.max(np.abs(left.T @ self.grid @ right))) * scale)
-        return worst
+        cx, sx = _transform_vectors(self.nx, self.coeffs.shape[0] - 1 if pmax is None else pmax)
+        cy, sy = _transform_vectors(self.ny, self.coeffs.shape[1] - 1 if qmax is None else qmax)
+        coupled = (cx.T @ self.grid @ sy, sx.T @ self.grid @ cy, sx.T @ self.grid @ sy)
+        return max(float(np.max(np.abs(c))) for c in coupled) / (self.nx * self.ny)
 
 
 def _transform_vectors(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,57 +214,108 @@ def b_entry_quadrature(fld: PotentialField, basis: Basis, i: int, j: int) -> flo
     return float(integrand.sum()) * dx * dy
 
 
-def _phase_blocks(fld: PotentialField, basis: Basis):
-    """Yield (positions, b block) for the sine and then the cosine functions.
+class SectorBlock(NamedTuple):
+    """One diagonal block: ascending positions (published index - 1) and the entries among them."""
+
+    positions: np.ndarray
+    matrix: np.ndarray
+
+
+def sector_positions(basis: Basis, n: int) -> list[np.ndarray]:
+    """Positions of each symmetry sector of the basis, ascending within a sector.
+
+    A sector is a class of (wave_x mod 2n, wave_y mod 2) up to sign, split
+    by phase.  b_ij needs a coefficient of V at w_i - w_j or w_i + w_j, zero
+    off the wave lattice (2n, 2), so no entry couples two sectors.
+    """
+    step = 2 * n
+    code = np.minimum(basis.wave_x % step, -basis.wave_x % step) * 2 + basis.wave_y % 2
+    key = code * 2 + basis.sine
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+
+
+def gather_sectors(fld: PotentialField, basis: Basis, sectors: list, form: bool = False) -> list[SectorBlock]:
+    """b_ij, or with form alpha_i delta_ij - b_ij, for every pair within a sector, one block per sector.
 
     A same-phase pair reduces to the cosine coefficients at the wave
     difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
-    - C[w_i + w_j]) for sines and with + for cosines.  Working one block at
-    a time keeps temporaries at the size of one block.
+    - C[w_i + w_j]) for sines and with + for cosines.  The pairs of all
+    sectors go through one cos_coefficient call for the differences and one
+    for the sums, so the lookup table is built once.
     """
-    for sine in (True, False):
-        idx = np.flatnonzero(basis.sine == sine)
-        if idx.size == 0:
-            continue
-        wx, wy, norm = basis.wave_x[idx], basis.wave_y[idx], basis.norm[idx]
-        diff = fld.cos_coefficient(wx[:, None] - wx, wy[:, None] - wy)
-        total = fld.cos_coefficient(wx[:, None] + wx, wy[:, None] + wy)
-        value = 0.5 * (diff - total) if sine else 0.5 * (diff + total)
-        yield np.ix_(idx, idx), np.outer(norm, norm) * fld.area * value
+    sizes = np.array([len(s) for s in sectors])
+    order = np.concatenate(sectors)
+    # pair t of sector k is (row, col) = divmod(t - first pair of k, size of k)
+    pair_sector = np.repeat(np.arange(len(sectors)), sizes * sizes)
+    ends = np.cumsum(sizes * sizes)
+    local = np.arange(ends[-1]) - (ends - sizes * sizes)[pair_sector]
+    first, size = (np.cumsum(sizes) - sizes)[pair_sector], sizes[pair_sector]
+    i, j = order[first + local // size], order[first + local % size]
+    del pair_sector, local, first, size
+    wx, wy = basis.wave_x, basis.wave_y
+    diff = fld.cos_coefficient(wx[i] - wx[j], wy[i] - wy[j])
+    total = fld.cos_coefficient(wx[i] + wx[j], wy[i] + wy[j])
+    np.negative(total, out=total, where=basis.sine[i])
+    b = basis.norm[i] * basis.norm[j] * fld.area * (0.5 * (diff + total))
+    if form:
+        np.negative(b, out=b)
+        diagonal = np.flatnonzero(i == j)
+        b[diagonal] += basis.alpha[i[diagonal]]
+    return [SectorBlock(s, b[e - k * k : e].reshape(k, k)) for s, k, e in zip(sectors, sizes, ends)]
+
+
+def _dense(blocks: Sequence[SectorBlock], sine: np.ndarray, pos: np.ndarray, zero: float) -> np.ndarray:
+    """The principal submatrix at positions pos, scattered from the blocks it meets.
+
+    Entries between sectors are `zero` for two functions of one phase and
+    +0.0 across phases (sin(A) cos(B) integrates to zero against V).
+    """
+    sector = np.empty(len(sine), dtype=np.intp)
+    for k, blk in enumerate(blocks):
+        sector[blk.positions] = k
+    sector = sector[pos]
+    out = np.where(sine[pos, None] == sine[pos], zero, 0.0)
+    for k in np.unique(sector).tolist():
+        rows = np.flatnonzero(sector == k)
+        inner = blocks[k].positions.searchsorted(pos[rows])
+        out[rows[:, None], rows] = blocks[k].matrix[inner[:, None], inner]
+    return out
 
 
 def b_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
-    """b_ij = integral of V u_i u_j for every pair of functions of the basis.
-
-    sin(A)cos(B) expands into pure sines, which integrate to zero against
-    the even potential, so mixed-phase entries are exact zeros.
-    """
-    b = np.zeros((len(basis), len(basis)))
-    for block, values in _phase_blocks(fld, basis):
-        b[block] = values
-    return b
+    """b_ij = integral of V u_i u_j for every pair of functions of the basis."""
+    blocks = gather_sectors(fld, basis, sector_positions(basis, fld.surface.n))
+    return _dense(blocks, basis.sine, np.arange(len(basis)), 0.0)
 
 
 def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
     """alpha_i delta_ij - b_ij restricted to the span of the basis.
 
-    Symmetric bit for bit, since b_ij and b_ji are computed by the same
-    operations.  Mixed-phase entries are +0.0 and every other off-diagonal
-    entry is exactly -b_ij.
+    Symmetric bit for bit: b_ij and b_ji are computed by the same operations.
     """
-    a = np.zeros((len(basis), len(basis)))
-    for block, values in _phase_blocks(fld, basis):
-        a[block] = -values
-    a[np.diag_indices_from(a)] += basis.alpha
-    return a
+    blocks = gather_sectors(fld, basis, sector_positions(basis, fld.surface.n), form=True)
+    return _dense(blocks, basis.sine, np.arange(len(basis)), -0.0)
 
 
 @dataclass(frozen=True)
 class GalerkinMatrix:
+    """A_m as its symmetry-sector blocks; every entry between sectors is zero."""
+
     m: int
-    entries: np.ndarray
+    blocks: tuple[SectorBlock, ...]
+    basis: Basis
     surface: SurfaceParams
     provenance: dict
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense m x m matrix, scattered from the blocks on each access."""
+        return self.principal(np.arange(self.m))
+
+    def principal(self, pos) -> np.ndarray:
+        """The principal submatrix at positions pos, bit for bit that slice of entries."""
+        return _dense(self.blocks, self.basis.sine, np.asarray(pos, dtype=np.intp), -0.0)
 
 
 def assemble(
@@ -270,34 +324,27 @@ def assemble(
     cfg: AssemblyConfig | None = None,
     fld: PotentialField | None = None,
 ) -> GalerkinMatrix:
-    """Assemble the symmetric m x m truncation of -Laplacian - V.
+    """Assemble the m x m truncation of -Laplacian - V as its sector blocks.
 
     A prebuilt field may be passed to reuse one potential pass across calls;
     otherwise one covering the basis is sampled, or read from the cache.
-    An m whose dense matrices would not fit in physical memory raises
-    ParameterError before any work is done.
+    An m whose in-sector pairs would not fit in physical memory raises
+    ParameterError before V is sampled or any entry gathered.
     """
-    need = DENSE_PEAK_MATRICES * 8 * m * m
-    have = _physical_memory()
+    basis = enumerate_basis(lattice(p), m)
+    sectors = sector_positions(basis, p.n)
+    sizes = [len(s) for s in sectors]
+    need, have = SECTOR_PAIR_BYTES * sum(k * k for k in sizes), _physical_memory()
     if need > have:
         raise ParameterError(
-            f"m = {m} needs about {need / 2**30:.1f} GiB for dense assembly and eigensolve; "
-            f"this machine has {have / 2**30:.1f} GiB"
+            f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {len(sizes)} symmetry blocks "
+            f"(the largest has {max(sizes)} functions); this machine has {have / 2**30:.1f} GiB"
         )
-    basis = enumerate_basis(lattice(p), m)
     if fld is None:
         fld = potential_field(p, basis, cfg or AssemblyConfig())
-    provenance = {
-        "surface": p.label,
-        "H": p.H,
-        "theta_degrees": p.theta_degrees,
-        "m": m,
-        "nx": fld.nx,
-        "ny": fld.ny,
-    }
-    return GalerkinMatrix(
-        m=m, entries=stability_matrix(fld, basis), surface=p, provenance=provenance
-    )
+    blocks = tuple(gather_sectors(fld, basis, sectors, form=True))
+    provenance = dict(surface=p.label, H=p.H, theta_degrees=p.theta_degrees, m=m, nx=fld.nx, ny=fld.ny)
+    return GalerkinMatrix(m=m, blocks=blocks, basis=basis, surface=p, provenance=provenance)
 
 
 # --- potential-field cache -------------------------------------------------

@@ -186,7 +186,7 @@ def _mode_radius(lat: Lattice, limit: float) -> int:
     have = _physical_memory()
     if need > have:
         raise ParameterError(
-            f"alpha < {limit:g} needs about {need / 2**30:.4g} GiB to enumerate its mode box; "
+            f"alpha < {limit:.12g} needs about {need / 2**30:.4g} GiB to enumerate its mode box; "
             f"this machine has {have / 2**30:.1f} GiB"
         )
     return r

@@ -28,9 +28,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import AssemblyConfig, assemble
+from .assembly import AssemblyConfig, GalerkinMatrix, assemble
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
-from .basis import count_alpha_below, shell_complete_size, shells_holding
+from .basis import shell_complete_size, shells_holding, sorted_alpha_stream
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
 from .spectrum import eigen_symmetric
 from .surface import ParameterError, SurfaceParams, lattice, potential_extrema
@@ -96,29 +96,30 @@ def potential_sandwich(p: SurfaceParams) -> SandwichBounds:
     """(mu - 1, nu): lattice eigenvalues strictly below V_min resp. V_max.
 
     Comparisons are strict; eigenvalues within BOUNDARY_TOL of either cutoff
-    are tallied in near_boundary so reports can flag the ambiguity.
+    are tallied in near_boundary so reports can flag the ambiguity.  The
+    stream up to V_max (plus the band) holds both counts.
     """
-    lat = lattice(p)
     v_min, v_max = potential_extrema(p)
-    mu, near_min = count_alpha_below(lat, v_min, BOUNDARY_TOL)
-    nu, near_max = count_alpha_below(lat, v_max, BOUNDARY_TOL)
-    return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near_min + near_max)
+    stream = sorted_alpha_stream(lattice(p), v_max + 2.0 * BOUNDARY_TOL)
+    mu, nu = (int(count) for count in np.searchsorted(stream, (v_min, v_max)))
+    near = sum(int(np.sum(np.abs(stream - v) <= BOUNDARY_TOL)) for v in (v_min, v_max))
+    return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near)
 
 
 def subspace_bound(
     p: SurfaceParams,
     indices: Sequence[int],
     cfg: AssemblyConfig | None = None,
-    form: np.ndarray | None = None,
+    form: GalerkinMatrix | None = None,
 ) -> SubspaceVerdict:
     """Check negative definiteness of the restricted form on the given span.
 
     The restriction to the 1-based basis indices is a principal submatrix
-    of a stability matrix over the first M >= max(indices) basis functions:
-    form when it is that large, otherwise A_M assembled at the smallest
-    shell-complete M.  A negative definite N-dimensional restriction
-    implies Ind >= N - 1 (one dimension can be lost to the volume
-    constraint).
+    of a stability matrix over the first M >= max(indices) basis functions,
+    scattered from the sector blocks it meets: form when it is that large,
+    otherwise A_M assembled at the smallest shell-complete M.  A negative
+    definite N-dimensional restriction implies Ind >= N - 1 (one dimension
+    can be lost to the volume constraint).
     """
     indices = tuple(int(i) for i in indices)
     if not indices:
@@ -127,10 +128,9 @@ def subspace_bound(
         raise ParameterError("basis indices must be distinct")
     if min(indices) < 1:
         raise ParameterError("basis indices are 1-based")
-    if form is None or len(form) < max(indices):
-        form = assemble(p, default_m(p, max(indices)), cfg).entries
-    pos = [i - 1 for i in indices]
-    mat = form[np.ix_(pos, pos)]
+    if form is None or form.m < max(indices):
+        form = assemble(p, default_m(p, max(indices)), cfg)
+    mat = form.principal([i - 1 for i in indices])
     top = float(eigen_symmetric(mat).eigenvalues[-1])
     definite = top < 0.0
     return SubspaceVerdict(
@@ -153,23 +153,18 @@ def greedy_subspace_search(
     """
     if pool_size < 1:
         raise ParameterError("pool_size must be at least 1")
-    full = assemble(p, default_m(p, pool_size), cfg).entries[:pool_size, :pool_size]
+    full = assemble(p, default_m(p, pool_size), cfg).principal(np.arange(pool_size))
     chosen: list[int] = []
-    remaining = list(range(pool_size))
-    while remaining:
-        best_pos = None
-        best_top = None
-        for pos in remaining:
-            trial = chosen + [pos]
-            sub = full[np.ix_(trial, trial)]
-            top = float(np.linalg.eigvalsh(sub)[-1])
-            if top < 0.0 and (best_top is None or top < best_top):
-                best_top = top
-                best_pos = pos
-        if best_pos is None:
+    while len(chosen) < pool_size:
+        tops = {
+            pos: float(np.linalg.eigvalsh(full[np.ix_(chosen + [pos], chosen + [pos])])[-1])
+            for pos in range(pool_size)
+            if pos not in chosen
+        }
+        best = min(tops, key=lambda pos: (tops[pos], pos))
+        if tops[best] >= 0.0:
             break
-        chosen.append(best_pos)
-        remaining.remove(best_pos)
+        chosen.append(best)
     indices = tuple(sorted(pos + 1 for pos in chosen))
     implied = len(indices) - 1 if indices else 0
     return indices, implied
@@ -241,7 +236,7 @@ def full_report(
     matrix = assemble(p, m, cfg)
     subspace_lower: int | None = None
     if subspace_indices is not None:
-        verdict = subspace_bound(p, subspace_indices, cfg, form=matrix.entries)
+        verdict = subspace_bound(p, subspace_indices, cfg, form=matrix)
         if verdict.negative_definite:
             subspace_lower = verdict.implied_lower
         else:
@@ -251,9 +246,7 @@ def full_report(
     k, uncertain = est.negative_count, est.uncertain_count
     if uncertain:
         notes.append(f"{uncertain} eigenvalue(s) within zero tolerance {est.zero_tol:g}; count is ambiguous")
-    best_lower = max(
-        [courant, sandwich.lower] + ([subspace_lower] if subspace_lower is not None else [])
-    )
+    best_lower = max(v for v in (courant, sandwich.lower, subspace_lower) if v is not None)
     if best_lower > k:
         # k grows monotonically with m, so an analytic bound above it only
         # means the truncation is not yet converged.
@@ -288,10 +281,7 @@ def full_report(
 
 
 def _check_consistency(r: IndexReport) -> None:
-    lowers = [r.courant_lower, r.sandwich_lower]
-    if r.subspace_lower is not None:
-        lowers.append(r.subspace_lower)
-    best_lower = max(lowers)
+    best_lower = max(v for v in (r.courant_lower, r.sandwich_lower, r.subspace_lower) if v is not None)
     if best_lower > r.sandwich_upper:
         raise ConsistencyError(
             f"{r.surface}: lower bound {best_lower} exceeds upper bound {r.sandwich_upper}"

@@ -1,12 +1,12 @@
 """Symmetric eigendecomposition and negative-eigenvalue counting.
 
-The decomposition is delegated to LAPACK's symmetric solver (orthogonal
-similarity transforms: tridiagonalization followed by implicit-shift
-iteration), which is deterministic for a fixed input matrix.  Counting
-negatives uses a relative zero tolerance: eigenvalues inside the tolerance
-band are reported as uncertain rather than silently classified, since the
-torus operator carries a six-dimensional kernel whose truncated eigenvalues
-approach zero from above.
+A_m is block diagonal over its symmetry sectors, so its spectrum is the
+union of the block spectra.  Each block goes to LAPACK's symmetric solver
+(tridiagonalization followed by implicit-shift iteration), which is
+deterministic for a fixed input.  Counting negatives uses a relative zero
+tolerance: eigenvalues inside the tolerance band are reported as uncertain
+rather than silently classified, since the torus operator carries a
+six-dimensional kernel whose truncated eigenvalues approach zero from above.
 """
 
 from __future__ import annotations
@@ -57,42 +57,48 @@ class SpectrumEstimate:
         return (float(neg[0]), float(neg[-1]))
 
 
-def _matrix_of(a) -> np.ndarray:
-    return a.entries if isinstance(a, GalerkinMatrix) else np.asarray(a, dtype=float)
-
-
 def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = None) -> SpectrumEstimate:
     """Full spectrum of a symmetric matrix with a residual certificate.
 
-    Eigenvalues within zero_tol of zero (default ZERO_TOL_RELATIVE * ||A||)
-    are counted as uncertain, the rest below it as negative.  Raises
-    ValueError when the input is not symmetric to rounding accuracy, or when
-    zero_tol is negative or not finite (either would silently move the band).
+    A GalerkinMatrix is solved one sector block at a time and the spectra
+    merged; an ndarray is one block.  residual_bound is the largest
+    eigenpair residual over all blocks.  Eigenvalues within zero_tol of zero
+    (default ZERO_TOL_RELATIVE * ||A||) are counted as uncertain, the rest
+    below it as negative.  Raises ValueError when a block is not symmetric
+    to rounding accuracy, or when zero_tol is negative or not finite (either
+    would silently move the band).
     """
     if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
         raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
-    mat = _matrix_of(a)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    scale = float(np.max(np.abs(mat))) or 1.0
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > _SYMMETRY_RTOL * scale:
-        raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
-
-    values, vectors = np.linalg.eigh(mat)
-    residual = float(np.max(np.linalg.norm(mat @ vectors - vectors * values, axis=0)))
+    mats = [blk.matrix for blk in a.blocks] if isinstance(a, GalerkinMatrix) else [np.asarray(a, float)]
+    groups: dict[tuple, list[np.ndarray]] = {}
+    for mat in mats:
+        groups.setdefault(mat.shape, []).append(mat)
+    spectra, residuals = [], []
+    # blocks of one size go to LAPACK as one stack, one eigh per block
+    for shape, group in groups.items():
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {shape}")
+        stack = np.stack(group)
+        scale = np.max(np.abs(stack), axis=(1, 2))
+        asym = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+        if np.any(asym > _SYMMETRY_RTOL * scale):
+            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym.max():g}")
+        values, vectors = np.linalg.eigh(stack)
+        residuals.append(np.max(np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)))
+        spectra.append(values.ravel())
+    values = np.sort(np.concatenate(spectra))
     if zero_tol is None:
         zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)
     negative = int(np.sum(values < -zero_tol))
     uncertain = int(np.sum(np.abs(values) <= zero_tol))
     first_six = tuple(float(v) for v in values[negative + uncertain:][:6])
     return SpectrumEstimate(
-        m=mat.shape[0],
+        m=len(values),
         eigenvalues=values,
         negative_count=negative,
-        residual_bound=residual,
+        residual_bound=float(max(residuals)),
         first_positive_six=first_six,
         zero_tol=zero_tol,
         uncertain_count=uncertain,
     )
-

@@ -292,21 +292,24 @@ class TestAssemble:
         scale = np.max(np.abs(doubled.coeffs))
         assert np.max(np.abs(default.coeffs - doubled.coeffs)) <= rtol * scale
 
-    def test_memory_guard_refuses_before_enumerating(self, w32, monkeypatch):
+    def test_memory_guard_refuses_before_sampling(self, w32, monkeypatch):
         import wente_index.assembly as assembly_mod
+        from wente_index.assembly import SECTOR_PAIR_BYTES, sector_positions
         from wente_index.surface import ParameterError
 
         def never(*args, **kwargs):
-            raise AssertionError("enumerated despite the guard")
+            raise AssertionError("sampled despite the guard")
 
-        monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
-        # A_1000 needs 6 x 8 x 10^6 bytes = 48 MB under the guard's rule
-        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 47_999_999)
-        with pytest.raises(ParameterError, match="m = 1000 needs about"):
-            assemble(w32, 1000)
-        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 48_000_000)
-        with pytest.raises(AssertionError, match="enumerated"):
-            assemble(w32, 1000)
+        monkeypatch.setattr(assembly_mod, "cached_sample_potential", never)
+        monkeypatch.setattr(assembly_mod, "gather_sectors", never)
+        sectors = sector_positions(enumerate_basis(lattice(w32), 1013), w32.n)
+        need = SECTOR_PAIR_BYTES * sum(len(s) ** 2 for s in sectors)
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ParameterError, match="m = 1013 needs about"):
+            assemble(w32, 1013)
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="sampled"):
+            assemble(w32, 1013)
 
     def test_provenance_recorded(self, w32, fast_cfg):
         mat = assemble(w32, 13, fast_cfg)

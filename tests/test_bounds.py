@@ -20,7 +20,7 @@ from wente_index.bounds import (
 )
 from wente_index.reference import REFERENCE_GEOMETRY
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import ParameterError, catalog_surface, lattice
+from wente_index.surface import ParameterError, catalog_surface, lattice, potential_extrema
 
 W43_PUBLISHED_MATRIX = np.array(
     [
@@ -72,6 +72,18 @@ class TestSandwich:
             bounds = potential_sandwich(catalog_surface(ell, n))
             assert bounds.lower <= bounds.upper
 
+    def test_one_mode_box_serves_both_cutoffs(self, w32, monkeypatch):
+        calls = []
+
+        def counting(lat, limit):
+            calls.append(limit)
+            return stream(lat, limit)
+
+        stream = bounds_mod.sorted_alpha_stream
+        monkeypatch.setattr(bounds_mod, "sorted_alpha_stream", counting)
+        assert tuple(potential_sandwich(w32)) == (2, 213, 0)
+        assert len(calls) == 1 and calls[0] > potential_extrema(w32)[1]
+
     def test_equal_cutoffs_collapse(self, w32):
         # a constant potential has V_min == V_max, so mu == nu and the
         # sandwich collapses to (mu - 1, mu)
@@ -103,7 +115,7 @@ class TestSubspace:
         p = request.getfixturevalue(surface)
         fld = request.getfixturevalue(f"{surface}_field")
         indices = SUBSPACE_SETS[p.label]
-        sub = subspace_bound(p, indices, form=assemble(p, m, fld=fld).entries).matrix
+        sub = subspace_bound(p, indices, form=assemble(p, m, fld=fld)).matrix
         basis = enumerate_basis(lattice(p), m)
         direct = stability_matrix(fld, basis[np.array(indices) - 1])
         assert np.array_equal(sub, direct)
@@ -112,7 +124,7 @@ class TestSubspace:
     def test_form_too_small_is_assembled_to_a_full_shell(self, w32, fast_cfg):
         # 3/2's set reaches index 17, beyond A_13; the verdict then comes
         # from A_25, the smallest shell-complete truncation holding it
-        small = assemble(w32, 13, fast_cfg).entries
+        small = assemble(w32, 13, fast_cfg)
         verdict = subspace_bound(w32, SUBSPACE_SETS["3/2"], fast_cfg, form=small)
         pos = [i - 1 for i in SUBSPACE_SETS["3/2"]]
         expected = assemble(w32, default_m(w32, 17), fast_cfg).entries[np.ix_(pos, pos)]

@@ -6,6 +6,7 @@ import pytest
 import wente_index.cli as cli_mod
 from wente_index.bounds import ConsistencyError
 from wente_index.cli import main
+from wente_index.surface import build_surface, potential_extrema
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,23 @@ class TestBounds:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    def test_sandwich_refusal_names_the_v_max_box(self, capsys, monkeypatch):
+        # both counts come from one stream up to V_max, so the refused box is
+        # that one and not the smaller V_min box
+        import re
+
+        import wente_index.basis as basis_mod
+
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 2**30)
+        v_min, v_max = potential_extrema(build_surface(3, 2, 0.5, 1e-9))
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--surface", "3/2", "--theta", "1e-9"])
+        assert info.value.code == 2
+        limit = float(re.search(r"alpha < (\S+) needs", capsys.readouterr().err).group(1))
+        # the box reaches BOUNDARY_TOL past the cutoff on both sides of the band
+        assert limit == pytest.approx(v_max + 2e-9, abs=1e-11)
+        assert limit - (v_min + 2e-9) > 5e-10
 
 
 class TestTables:

@@ -12,16 +12,23 @@ import pytest
 
 import wente_index.assembly as assembly_mod
 import wente_index.bounds as bounds_mod
+from wente_index.assembly import assemble
 from wente_index.bounds import full_report
+from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import catalog_surface
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_every_traced_name_resolves():
+def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves():
+    spans = _load_spans()
     assert spans.WRAPPED
     for module, attr, _ in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(f"wente_index.{module}"), attr)), (module, attr)
@@ -38,7 +45,8 @@ def test_every_traced_name_resolves():
     ],
 )
 def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell, n, m, enumerations):
-    calls = {"enumerate_basis": 0, "cached_sample_potential": 0, "stability_matrix": 0}
+    # gather_sectors is the one gather over all in-sector pairs of a matrix
+    calls = {"enumerate_basis": 0, "cached_sample_potential": 0, "gather_sectors": 0}
 
     def counting(name, orig):
         def wrapper(*args, **kwargs):
@@ -54,5 +62,17 @@ def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell,
     assert calls == {
         "enumerate_basis": enumerations,
         "cached_sample_potential": enumerations,
-        "stability_matrix": enumerations,
+        "gather_sectors": enumerations,
     }
+
+
+def test_span_attributes_read_real_results():
+    # a traced run reads these attributes from every assemble and eigensolve
+    spans = _load_spans()
+    p, m = catalog_surface(4, 3), 81
+    matrix = assemble(p, m)
+    attrs = spans._attrs("assembly.assemble", assemble, (p, m), {}, matrix)
+    assert attrs["m"] == m
+    assert m <= attrs["nonzero_upper"] <= m * (m + 1) // 2
+    est = eigen_symmetric(matrix)
+    assert spans._attrs("spectrum.eigen_symmetric", eigen_symmetric, (matrix,), {}, est) == {"m": m}
