@@ -138,10 +138,18 @@ class PotentialField:
         """Largest |sine-coupled coefficient|; a symmetry diagnostic, ~0 for even V."""
         if self.grid is None:
             raise ValueError("field was loaded without grid samples")
-        cx, sx = _transform_vectors(self.nx, self.coeffs.shape[0] - 1 if pmax is None else pmax)
-        cy, sy = _transform_vectors(self.ny, self.coeffs.shape[1] - 1 if qmax is None else qmax)
-        coupled = (cx.T @ self.grid @ sy, sx.T @ self.grid @ cy, sx.T @ self.grid @ sy)
-        return max(float(np.max(np.abs(c))) for c in coupled) / (self.nx * self.ny)
+        pmax = self.coeffs.shape[0] - 1 if pmax is None else pmax
+        qmax = self.coeffs.shape[1] - 1 if qmax is None else qmax
+        cx, sx = _transform_vectors(self.nx, pmax)
+        cy, sy = _transform_vectors(self.ny, qmax)
+        scale = 1.0 / (self.nx * self.ny)
+        worst = 0.0
+        for left in (cx, sx):
+            for right in (cy, sy):
+                if left is cx and right is cy:
+                    continue
+                worst = max(worst, float(np.max(np.abs(left.T @ self.grid @ right))) * scale)
+        return worst
 
 
 def _transform_vectors(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,15 +252,9 @@ def gather_sectors(fld: PotentialField, basis: Basis, sectors: list, form: bool 
     sectors go through one cos_coefficient call for the differences and one
     for the sums, so the lookup table is built once.
     """
-    sizes = np.array([len(s) for s in sectors])
-    order = np.concatenate(sectors)
-    # pair t of sector k is (row, col) = divmod(t - first pair of k, size of k)
-    pair_sector = np.repeat(np.arange(len(sectors)), sizes * sizes)
-    ends = np.cumsum(sizes * sizes)
-    local = np.arange(ends[-1]) - (ends - sizes * sizes)[pair_sector]
-    first, size = (np.cumsum(sizes) - sizes)[pair_sector], sizes[pair_sector]
-    i, j = order[first + local // size], order[first + local % size]
-    del pair_sector, local, first, size
+    # the pairs of each sector in row-major order, sector after sector
+    i = np.concatenate([np.repeat(s, len(s)) for s in sectors])
+    j = np.concatenate([np.tile(s, len(s)) for s in sectors])
     wx, wy = basis.wave_x, basis.wave_y
     diff = fld.cos_coefficient(wx[i] - wx[j], wy[i] - wy[j])
     total = fld.cos_coefficient(wx[i] + wx[j], wy[i] + wy[j])
@@ -262,7 +264,8 @@ def gather_sectors(fld: PotentialField, basis: Basis, sectors: list, form: bool 
         np.negative(b, out=b)
         diagonal = np.flatnonzero(i == j)
         b[diagonal] += basis.alpha[i[diagonal]]
-    return [SectorBlock(s, b[e - k * k : e].reshape(k, k)) for s, k, e in zip(sectors, sizes, ends)]
+    ends = np.cumsum([len(s) ** 2 for s in sectors])
+    return [SectorBlock(s, b[e - len(s) ** 2 : e].reshape(len(s), -1)) for s, e in zip(sectors, ends)]
 
 
 def _dense(blocks: Sequence[SectorBlock], sine: np.ndarray, pos: np.ndarray, zero: float) -> np.ndarray:
@@ -310,12 +313,26 @@ class GalerkinMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense m x m matrix, scattered from the blocks on each access."""
+        """The dense m x m matrix, scattered from the blocks on each access.
+
+        It takes 8 m^2 bytes, which assemble's memory guard does not count;
+        the report path never reads it.
+        """
         return self.principal(np.arange(self.m))
 
     def principal(self, pos) -> np.ndarray:
         """The principal submatrix at positions pos, bit for bit that slice of entries."""
         return _dense(self.blocks, self.basis.sine, np.asarray(pos, dtype=np.intp), -0.0)
+
+
+def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest) -> None:
+    """ParameterError when that many in-sector pairs would not fit in physical memory."""
+    need, have = SECTOR_PAIR_BYTES * pairs, _physical_memory()
+    if need > have:
+        raise ParameterError(
+            f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {blocks} "
+            f"(the largest has {largest} functions); this machine has {have / 2**30:.1f} GiB"
+        )
 
 
 def assemble(
@@ -329,21 +346,29 @@ def assemble(
     A prebuilt field may be passed to reuse one potential pass across calls;
     otherwise one covering the basis is sampled, or read from the cache.
     An m whose in-sector pairs would not fit in physical memory raises
-    ParameterError before V is sampled or any entry gathered.
+    ParameterError before V is sampled or any entry gathered; one that
+    cannot fit whatever the sectors raises it before the basis is enumerated.
     """
+    # wave_x classes 0..n up to sign, two wave_y parities and two phases make
+    # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
+    # in-sector pairs
+    most = 4 * (p.n + 1)
+    _refuse_beyond_memory(m, m * m / most, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     basis = enumerate_basis(lattice(p), m)
     sectors = sector_positions(basis, p.n)
     sizes = [len(s) for s in sectors]
-    need, have = SECTOR_PAIR_BYTES * sum(k * k for k in sizes), _physical_memory()
-    if need > have:
-        raise ParameterError(
-            f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {len(sizes)} symmetry blocks "
-            f"(the largest has {max(sizes)} functions); this machine has {have / 2**30:.1f} GiB"
-        )
+    _refuse_beyond_memory(m, sum(k * k for k in sizes), f"{len(sizes)} symmetry blocks", max(sizes))
     if fld is None:
         fld = potential_field(p, basis, cfg or AssemblyConfig())
     blocks = tuple(gather_sectors(fld, basis, sectors, form=True))
-    provenance = dict(surface=p.label, H=p.H, theta_degrees=p.theta_degrees, m=m, nx=fld.nx, ny=fld.ny)
+    provenance = {
+        "surface": p.label,
+        "H": p.H,
+        "theta_degrees": p.theta_degrees,
+        "m": m,
+        "nx": fld.nx,
+        "ny": fld.ny,
+    }
     return GalerkinMatrix(m=m, blocks=blocks, basis=basis, surface=p, provenance=provenance)
 
 

@@ -34,6 +34,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -213,13 +214,16 @@ def sorted_alpha_stream(lat: Lattice, limit: float) -> np.ndarray:
     return np.concatenate([[0.0], np.repeat(np.sort(alpha), 2)])
 
 
-def count_alpha_below(lat: Lattice, limit: float, boundary_tol: float = 1e-9) -> tuple[int, int]:
-    """(#eigenvalues strictly below limit, #eigenvalues within boundary_tol of it).
+def count_alpha_below(
+    lat: Lattice, limits: Sequence[float], boundary_tol: float = 1e-9
+) -> list[tuple[int, int]]:
+    """Per limit: (#eigenvalues strictly below it, #eigenvalues within boundary_tol of it).
 
+    One stream up to the largest limit (plus the band) holds every count.
     The second count flags comparisons too close to call at floating point
     accuracy; callers surface it instead of silently resolving the tie.
     """
-    stream = sorted_alpha_stream(lat, limit + 2.0 * boundary_tol + 1e-300)
-    below = int(np.sum(stream < limit))
-    near = int(np.sum(np.abs(stream - limit) <= boundary_tol))
-    return below, near
+    stream = sorted_alpha_stream(lat, max(limits) + 2.0 * boundary_tol + 1e-300)
+    return [
+        (int(np.sum(stream < v)), int(np.sum(np.abs(stream - v) <= boundary_tol))) for v in limits
+    ]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .assembly import AssemblyConfig, GalerkinMatrix, assemble
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
-from .basis import shell_complete_size, shells_holding, sorted_alpha_stream
+from .basis import count_alpha_below, shell_complete_size, shells_holding
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
 from .spectrum import eigen_symmetric
 from .surface import ParameterError, SurfaceParams, lattice, potential_extrema
@@ -96,14 +96,11 @@ def potential_sandwich(p: SurfaceParams) -> SandwichBounds:
     """(mu - 1, nu): lattice eigenvalues strictly below V_min resp. V_max.
 
     Comparisons are strict; eigenvalues within BOUNDARY_TOL of either cutoff
-    are tallied in near_boundary so reports can flag the ambiguity.  The
-    stream up to V_max (plus the band) holds both counts.
+    are tallied in near_boundary so reports can flag the ambiguity.  One
+    mode stream up to V_max holds both counts.
     """
-    v_min, v_max = potential_extrema(p)
-    stream = sorted_alpha_stream(lattice(p), v_max + 2.0 * BOUNDARY_TOL)
-    mu, nu = (int(count) for count in np.searchsorted(stream, (v_min, v_max)))
-    near = sum(int(np.sum(np.abs(stream - v) <= BOUNDARY_TOL)) for v in (v_min, v_max))
-    return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near)
+    (mu, near_min), (nu, near_max) = count_alpha_below(lattice(p), potential_extrema(p), BOUNDARY_TOL)
+    return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near_min + near_max)
 
 
 def subspace_bound(
@@ -155,16 +152,21 @@ def greedy_subspace_search(
         raise ParameterError("pool_size must be at least 1")
     full = assemble(p, default_m(p, pool_size), cfg).principal(np.arange(pool_size))
     chosen: list[int] = []
-    while len(chosen) < pool_size:
-        tops = {
-            pos: float(np.linalg.eigvalsh(full[np.ix_(chosen + [pos], chosen + [pos])])[-1])
-            for pos in range(pool_size)
-            if pos not in chosen
-        }
-        best = min(tops, key=lambda pos: (tops[pos], pos))
-        if tops[best] >= 0.0:
+    remaining = list(range(pool_size))
+    while remaining:
+        best_pos = None
+        best_top = None
+        for pos in remaining:
+            trial = chosen + [pos]
+            sub = full[np.ix_(trial, trial)]
+            top = float(np.linalg.eigvalsh(sub)[-1])
+            if top < 0.0 and (best_top is None or top < best_top):
+                best_top = top
+                best_pos = pos
+        if best_pos is None:
             break
-        chosen.append(best)
+        chosen.append(best_pos)
+        remaining.remove(best_pos)
     indices = tuple(sorted(pos + 1 for pos in chosen))
     implied = len(indices) - 1 if indices else 0
     return indices, implied
@@ -246,7 +248,9 @@ def full_report(
     k, uncertain = est.negative_count, est.uncertain_count
     if uncertain:
         notes.append(f"{uncertain} eigenvalue(s) within zero tolerance {est.zero_tol:g}; count is ambiguous")
-    best_lower = max(v for v in (courant, sandwich.lower, subspace_lower) if v is not None)
+    best_lower = max(
+        [courant, sandwich.lower] + ([subspace_lower] if subspace_lower is not None else [])
+    )
     if best_lower > k:
         # k grows monotonically with m, so an analytic bound above it only
         # means the truncation is not yet converged.
@@ -281,7 +285,10 @@ def full_report(
 
 
 def _check_consistency(r: IndexReport) -> None:
-    best_lower = max(v for v in (r.courant_lower, r.sandwich_lower, r.subspace_lower) if v is not None)
+    lowers = [r.courant_lower, r.sandwich_lower]
+    if r.subspace_lower is not None:
+        lowers.append(r.subspace_lower)
+    best_lower = max(lowers)
     if best_lower > r.sandwich_upper:
         raise ConsistencyError(
             f"{r.surface}: lower bound {best_lower} exceeds upper bound {r.sandwich_upper}"

@@ -71,22 +71,17 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
     if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
         raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
     mats = [blk.matrix for blk in a.blocks] if isinstance(a, GalerkinMatrix) else [np.asarray(a, float)]
-    groups: dict[tuple, list[np.ndarray]] = {}
-    for mat in mats:
-        groups.setdefault(mat.shape, []).append(mat)
     spectra, residuals = [], []
-    # blocks of one size go to LAPACK as one stack, one eigh per block
-    for shape, group in groups.items():
-        if len(shape) != 2 or shape[0] != shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {shape}")
-        stack = np.stack(group)
-        scale = np.max(np.abs(stack), axis=(1, 2))
-        asym = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
-        if np.any(asym > _SYMMETRY_RTOL * scale):
-            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym.max():g}")
-        values, vectors = np.linalg.eigh(stack)
-        residuals.append(np.max(np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1)))
-        spectra.append(values.ravel())
+    for mat in mats:
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        scale = float(np.max(np.abs(mat))) or 1.0
+        asym = float(np.max(np.abs(mat - mat.T)))
+        if asym > _SYMMETRY_RTOL * scale:
+            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
+        values, vectors = np.linalg.eigh(mat)
+        residuals.append(float(np.max(np.linalg.norm(mat @ vectors - vectors * values, axis=0))))
+        spectra.append(values)
     values = np.sort(np.concatenate(spectra))
     if zero_tol is None:
         zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)

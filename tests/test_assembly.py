@@ -311,6 +311,28 @@ class TestAssemble:
         with pytest.raises(AssertionError, match="sampled"):
             assemble(w32, 1013)
 
+    def test_memory_guard_refuses_before_enumerating(self, w32, monkeypatch):
+        import wente_index.assembly as assembly_mod
+        from wente_index.surface import ParameterError
+
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated despite the guard")
+
+        monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
+        # 3/2 has at most 12 sectors, so A_1200 holds at least 1200^2 / 12
+        # in-sector pairs: 11.52 MB at SECTOR_PAIR_BYTES = 80
+        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 12
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
+        with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
+            assemble(w32, 1200)
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="enumerated"):
+            assemble(w32, 1200)
+        # a size far beyond any machine is refused at once
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 8 * 2**30)
+        with pytest.raises(ParameterError, match="m = 1000000000 needs about"):
+            assemble(w32, 10**9)
+
     def test_provenance_recorded(self, w32, fast_cfg):
         mat = assemble(w32, 13, fast_cfg)
         assert mat.provenance["surface"] == "3/2"

@@ -228,9 +228,24 @@ class TestAlphaStream:
         lat = lattice(w32)
         stream = sorted_alpha_stream(lat, 100.0)
         level = float(stream[5])
-        below, near = count_alpha_below(lat, level, boundary_tol=1e-9)
+        [(below, near)] = count_alpha_below(lat, [level], boundary_tol=1e-9)
         assert near >= 1
         assert below == int(np.sum(stream < level))
+
+    def test_count_below_reads_every_limit_from_one_stream(self, w32, monkeypatch):
+        calls = []
+
+        def counting(lat, limit):
+            calls.append(limit)
+            return stream(lat, limit)
+
+        stream = basis_mod.sorted_alpha_stream
+        monkeypatch.setattr(basis_mod, "sorted_alpha_stream", counting)
+        lat = lattice(w32)
+        counts = count_alpha_below(lat, [40.0, 3.0, 100.0])
+        assert len(calls) == 1 and calls[0] > 100.0
+        full = stream(lat, 101.0)
+        assert [below for below, _ in counts] == [int(np.sum(full < v)) for v in (40.0, 3.0, 100.0)]
 
     @pytest.mark.parametrize("limit", [1e3, float("inf"), float("nan")])
     def test_refuses_a_box_beyond_memory(self, w32, monkeypatch, limit):

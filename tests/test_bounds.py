@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wente_index.assembly as assembly_mod
+import wente_index.basis as basis_mod
 import wente_index.bounds as bounds_mod
 from wente_index.assembly import AssemblyConfig, assemble, stability_matrix
 from wente_index.basis import enumerate_basis
@@ -79,8 +80,8 @@ class TestSandwich:
             calls.append(limit)
             return stream(lat, limit)
 
-        stream = bounds_mod.sorted_alpha_stream
-        monkeypatch.setattr(bounds_mod, "sorted_alpha_stream", counting)
+        stream = basis_mod.sorted_alpha_stream
+        monkeypatch.setattr(basis_mod, "sorted_alpha_stream", counting)
         assert tuple(potential_sandwich(w32)) == (2, 213, 0)
         assert len(calls) == 1 and calls[0] > potential_extrema(w32)[1]
 
@@ -91,8 +92,7 @@ class TestSandwich:
         from wente_index.surface import lattice
 
         lat = lattice(w32)
-        mu, _ = count_alpha_below(lat, 2.0)
-        nu, _ = count_alpha_below(lat, 2.0)
+        (mu, _), (nu, _) = count_alpha_below(lat, [2.0, 2.0])
         assert mu == nu
 
 

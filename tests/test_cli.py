@@ -53,6 +53,22 @@ class TestReport:
             main([command, "--surface", "3/2", "--jobs", "-1"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["report", "--m", "1000000000"], ["subspace", "--indices", "1,100000000"]]
+    )
+    def test_size_beyond_memory_exits_before_enumerating(self, capsys, monkeypatch, argv):
+        import wente_index.assembly as assembly_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("enumerated despite the guard")
+
+        monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
+        monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 8 * 2**30)
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--surface", "3/2", *argv[1:]])
+        assert info.value.code == 2
+        assert "at most 12 symmetry blocks" in capsys.readouterr().err
+
     def test_method_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["report", "--surface", "3/2", "--method", "fourier"])

@@ -110,7 +110,9 @@ def test_guard_admits_3_2_at_2113_in_64_mib(monkeypatch):
 
 
 def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
-    _small_memory(monkeypatch, 64 * 2**20)
+    # 4325 functions in at most 12 sectors need at least 119 MiB, the 12
+    # sectors 3/2 has 134 MiB: the exact count refuses, after enumerating
+    _small_memory(monkeypatch, 128 * 2**20)
     p = catalog_surface(3, 2)
     largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 4325), 2))
     with pytest.raises(SystemExit) as info:
