@@ -313,11 +313,7 @@ class GalerkinMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense m x m matrix, scattered from the blocks on each access.
-
-        It takes 8 m^2 bytes, which assemble's memory guard does not count;
-        the report path never reads it.
-        """
+        """The dense m x m matrix (8 m^2 bytes, outside assemble's memory guard), scattered on each access."""
         return self.principal(np.arange(self.m))
 
     def principal(self, pos) -> np.ndarray:

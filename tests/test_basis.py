@@ -242,10 +242,12 @@ class TestAlphaStream:
         stream = basis_mod.sorted_alpha_stream
         monkeypatch.setattr(basis_mod, "sorted_alpha_stream", counting)
         lat = lattice(w32)
-        counts = count_alpha_below(lat, [40.0, 3.0, 100.0])
-        assert len(calls) == 1 and calls[0] > 100.0
         full = stream(lat, 101.0)
-        assert [below for below, _ in counts] == [int(np.sum(full < v)) for v in (40.0, 3.0, 100.0)]
+        limits = (40.0, float(full[5]), 100.0)
+        counts = count_alpha_below(lat, limits)
+        assert len(calls) == 1 and calls[0] > 100.0
+        expected = [(int(np.sum(full < v)), int(np.sum(np.abs(full - v) <= 1e-9))) for v in limits]
+        assert counts == expected and counts[1][1] >= 1 and counts[0][1] == 0
 
     @pytest.mark.parametrize("limit", [1e3, float("inf"), float("nan")])
     def test_refuses_a_box_beyond_memory(self, w32, monkeypatch, limit):
