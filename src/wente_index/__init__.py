@@ -31,7 +31,6 @@ from .assembly import (
     GalerkinMatrix,
     PotentialField,
     assemble,
-    b_entry_quadrature,
     b_matrix,
     sample_potential,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "GalerkinMatrix",
     "PotentialField",
     "assemble",
-    "b_entry_quadrature",
     "b_matrix",
     "sample_potential",
     "SpectrumEstimate",

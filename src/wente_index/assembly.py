@@ -3,26 +3,25 @@
 b_ij integrates V u_i u_j over the torus.  V has x-period x_period/2 and
 y-period y_period/2 (cn flips sign over a half period and V is even in it),
 so everything assembly needs is the cosine-coefficient table of V on its own
-period cell [0, x_period/2) x [0, y_period/2); the table does not depend on
-the lattice parity of the torus.
+period cell; the table does not depend on the lattice parity of the torus.
 
-Against the basis waves those coefficients sit on the lattice (2n, 2), so
-b_ij vanishes unless w_i - w_j or w_i + w_j lies on it: A_m is block
-diagonal over the sectors of (wave_x mod 2n, wave_y mod 2) up to sign,
-split again by phase (the Floquet-Bloch reduction).  assemble returns
-those blocks, each with its positions in the published order (published
-index i is position i - 1), from one vectorized gather over every pair
-within a sector; it is the only code that enumerates the basis and
-samples V for the index computations.  GalerkinMatrix.principal scatters
-a subspace restriction out of the blocks it meets and .entries the dense
-matrix; b_matrix and stability_matrix are the same scatters on any
-basis[pos].  Between sectors the form holds -0.0 for two functions of one
-phase (the negated zero b_ij) and +0.0 across phases.
+Those coefficients sit on the wave lattice (2n, 2), so b_ij vanishes unless
+w_i - w_j or w_i + w_j lies on it: A_m is block diagonal over the sectors
+of (wave_x mod 2n, wave_y mod 2) up to sign, split by phase (Floquet-Bloch).
+V is even in y, so the mirror R: (x, y) -> (x, -y) commutes with A_m and
+maps each sector to itself.  A sector whose mirror partners are all in the
+basis splits into an even and an odd half in the orthonormal basis
+(u_i +- u_Ri) / sqrt(2) (Fassler & Stiefel, ch. 5).  The fold is exact:
+b_ij reads the waves only through |w_i -+ w_j| componentwise, so
+b_{Ri,Rj} = sign_i sign_j b_ij bit for bit and one row per mirror pair is
+gathered (alpha of two partners can differ in its last bit on an
+even-parity lattice; the representative's is used).
 
-b_entry_quadrature applies the periodic trapezoid rule to one entry, with
-the cell samples tiled over a fundamental domain of the torus.  There it is
-the same discrete Fourier transform as the table, so it checks the gather,
-not aliasing; it is kept as the test oracle.
+assemble, the only code that enumerates the basis and samples V for the
+index computations, returns the halves.  The dense views (entries,
+principal, b_matrix and stability_matrix on any basis[pos]; published index
+i is position i - 1) gather every pair within a sector through the same
+kernel, gather_pairs, so their bits do not depend on the fold.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,15 +42,13 @@ __all__ = [
     "AssemblyConfig",
     "PotentialField",
     "GalerkinMatrix",
-    "SectorBlock",
     "CoefficientRangeError",
     "NyquistError",
     "sample_potential",
     "cached_sample_potential",
     "potential_field",
-    "b_entry_quadrature",
-    "sector_positions",
-    "gather_sectors",
+    "mirror_partners",
+    "gather_pairs",
     "b_matrix",
     "stability_matrix",
     "assemble",
@@ -63,9 +60,10 @@ __all__ = [
 # Samples per period cell; resolves every catalogued potential (and theta up
 # to 24.5 degrees) to about 1e-11 relative.
 DEFAULT_GRID = 256
-# Peak bytes of a report per in-sector pair (a pair of functions in one
-# sector): the gather peaks at about 66 (index arrays, wave sums, their
-# coefficients and the blocks) at m = 1013 and 2113; the rest is headroom.
+# Peak bytes of assemble per gathered pair (a gathered row against one
+# function of its sector): tracemalloc reads 67.3, 66.1 and 65.9 (index
+# arrays, wave sums, their coefficients) at 3/2@1013, 3/2@2113 and
+# 4/3@2025; the rest is headroom.
 SECTOR_PAIR_BYTES = 80
 
 
@@ -134,28 +132,6 @@ class PotentialField:
             )
         return values
 
-    def sine_channel_max(self, pmax: int | None = None, qmax: int | None = None) -> float:
-        """Largest |sine-coupled coefficient|; a symmetry diagnostic, ~0 for even V."""
-        if self.grid is None:
-            raise ValueError("field was loaded without grid samples")
-        pmax = self.coeffs.shape[0] - 1 if pmax is None else pmax
-        qmax = self.coeffs.shape[1] - 1 if qmax is None else qmax
-        cx, sx = _transform_vectors(self.nx, pmax)
-        cy, sy = _transform_vectors(self.ny, qmax)
-        scale = 1.0 / (self.nx * self.ny)
-        worst = 0.0
-        for left in (cx, sx):
-            for right in (cy, sy):
-                if left is cx and right is cy:
-                    continue
-                worst = max(worst, float(np.max(np.abs(left.T @ self.grid @ right))) * scale)
-        return worst
-
-
-def _transform_vectors(n: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    angles = 2.0 * np.pi * np.outer(np.arange(n), np.arange(kmax + 1)) / n
-    return np.cos(angles), np.sin(angles)
-
 
 def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -> PotentialField:
     """Sample V on its period cell and tabulate cosine coefficients.
@@ -177,8 +153,8 @@ def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -
     x = np.arange(nx) * (0.5 * p.x_period / nx)
     y = np.arange(ny) * (0.5 * p.y_period / ny)
     grid = potential_grid(p, x, y)
-    cx, _ = _transform_vectors(nx, pmax)
-    cy, _ = _transform_vectors(ny, qmax)
+    cx = np.cos(2.0 * np.pi * np.outer(np.arange(nx), np.arange(pmax + 1)) / nx)
+    cy = np.cos(2.0 * np.pi * np.outer(np.arange(ny), np.arange(qmax + 1)) / ny)
     coeffs = (cx.T @ grid @ cy) / (nx * ny)
     return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
 
@@ -196,65 +172,53 @@ def potential_field(p: SurfaceParams, basis: Basis, cfg: AssemblyConfig) -> Pote
     )
 
 
-def b_entry_quadrature(fld: PotentialField, basis: Basis, i: int, j: int) -> float:
-    """b_ij at positions i, j by the periodic trapezoid rule on the field's grid (test oracle).
+def _sectors(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each function's sector key, the positions sorted by it (stably) and the sector sizes.
 
-    The cell samples are tiled over the lattice rectangle [0, a1) x [0, b2),
-    a fundamental domain of the torus for either parity.
-    """
-    if fld.grid is None:
-        raise ValueError("field was loaded without grid samples; resample to use quadrature")
-    p = fld.surface
-    # wave w has frequency w / (n x_period) in x and the cell grid's Nyquist
-    # frequency is nx / x_period, so x resolves waves below n nx (y below ny)
-    reach_x = int(abs(basis.wave_x[i]) + abs(basis.wave_x[j]))
-    reach_y = int(abs(basis.wave_y[i]) + abs(basis.wave_y[j]))
-    if reach_x >= p.n * fld.nx or reach_y >= fld.ny:
-        raise NyquistError(
-            f"cell grid {fld.nx}x{fld.ny} cannot resolve combined wave ({reach_x}, {reach_y})"
-        )
-    lat = lattice(p)
-    tiles = round(2.0 * lat.a1 / p.x_period), round(2.0 * lat.b2 / p.y_period)
-    dx, dy = 0.5 * p.x_period / fld.nx, 0.5 * p.y_period / fld.ny
-    x = (np.arange(tiles[0] * fld.nx) * dx)[:, None]
-    y = (np.arange(tiles[1] * fld.ny) * dy)[None, :]
-    integrand = np.tile(fld.grid, tiles) * basis.values(i, x, y) * basis.values(j, x, y)
-    return float(integrand.sum()) * dx * dy
-
-
-class SectorBlock(NamedTuple):
-    """One diagonal block: ascending positions (published index - 1) and the entries among them."""
-
-    positions: np.ndarray
-    matrix: np.ndarray
-
-
-def sector_positions(basis: Basis, n: int) -> list[np.ndarray]:
-    """Positions of each symmetry sector of the basis, ascending within a sector.
-
-    A sector is a class of (wave_x mod 2n, wave_y mod 2) up to sign, split
-    by phase.  b_ij needs a coefficient of V at w_i - w_j or w_i + w_j, zero
-    off the wave lattice (2n, 2), so no entry couples two sectors.
+    A sector is a class of (wave_x mod 2n, wave_y mod 2) up to sign, split by phase.
     """
     step = 2 * n
-    code = np.minimum(basis.wave_x % step, -basis.wave_x % step) * 2 + basis.wave_y % 2
-    key = code * 2 + basis.sine
-    order = np.argsort(key, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    key = (np.minimum(basis.wave_x % step, -basis.wave_x % step) * 2 + basis.wave_y % 2) * 2 + basis.sine
+    sizes = np.bincount(key)
+    return key, np.argsort(key, kind="stable"), sizes[sizes > 0]
 
 
-def gather_sectors(fld: PotentialField, basis: Basis, sectors: list, form: bool = False) -> list[SectorBlock]:
-    """b_ij, or with form alpha_i delta_ij - b_ij, for every pair within a sector, one block per sector.
+def mirror_partners(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """(partner, sign) with R u_i = sign_i u_{partner_i} for the mirror R: (x, y) -> (x, -y).
+
+    A wave (a, b) maps to (a, -b) in the same phase with sign +1 (partner -1
+    when not in the basis); a wave (0, b) maps to itself, sin(0, b) with -1.
+    """
+    a, b, sine = basis.wave_x, basis.wave_y, basis.sine
+    span = 2 * int(np.abs(b).max()) + 1
+    code, want = (a * span + b) * 2 + sine, (a * span - b) * 2 + sine
+    order = np.argsort(code)
+    found = order[np.searchsorted(code, want, sorter=order).clip(max=len(a) - 1)]
+    partner = np.where(a == 0, np.arange(len(a)), np.where(code[found] == want, found, -1))
+    return partner, np.where((a == 0) & sine, -1.0, 1.0)
+
+
+def _outer(rows: np.ndarray, row_counts, cols: np.ndarray, col_counts) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over every row and column of each group, group after group, row-major.
+
+    A row's entries start at ends - width and read cols from its group's first.
+    """
+    width = np.repeat(col_counts, row_counts)
+    ends = np.cumsum(width)
+    col = np.repeat(np.repeat(np.cumsum(col_counts) - col_counts, row_counts) - ends + width, width)
+    col += np.arange(len(col))
+    return np.repeat(rows, width), cols[col]
+
+
+def gather_pairs(fld: PotentialField, basis: Basis, i: np.ndarray, j: np.ndarray, form=False) -> np.ndarray:
+    """b_ij, or with form alpha_i delta_ij - b_ij, for each same-phase pair of positions (i[k], j[k]).
 
     A same-phase pair reduces to the cosine coefficients at the wave
     difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
-    - C[w_i + w_j]) for sines and with + for cosines.  The pairs of all
-    sectors go through one cos_coefficient call for the differences and one
-    for the sums, so the lookup table is built once.
+    - C[w_i + w_j]) for sines and with + for cosines.  All pairs share one
+    cos_coefficient call for the differences and one for the sums; (i, j)
+    and (j, i) take the same operations, so the result is bit-symmetric.
     """
-    # the pairs of each sector in row-major order, sector after sector
-    i = np.concatenate([np.repeat(s, len(s)) for s in sectors])
-    j = np.concatenate([np.tile(s, len(s)) for s in sectors])
     wx, wy = basis.wave_x, basis.wave_y
     diff = fld.cos_coefficient(wx[i] - wx[j], wy[i] - wy[j])
     total = fld.cos_coefficient(wx[i] + wx[j], wy[i] + wy[j])
@@ -264,65 +228,107 @@ def gather_sectors(fld: PotentialField, basis: Basis, sectors: list, form: bool 
         np.negative(b, out=b)
         diagonal = np.flatnonzero(i == j)
         b[diagonal] += basis.alpha[i[diagonal]]
-    ends = np.cumsum([len(s) ** 2 for s in sectors])
-    return [SectorBlock(s, b[e - len(s) ** 2 : e].reshape(len(s), -1)) for s, e in zip(sectors, ends)]
+    return b
 
 
-def _dense(blocks: Sequence[SectorBlock], sine: np.ndarray, pos: np.ndarray, zero: float) -> np.ndarray:
-    """The principal submatrix at positions pos, scattered from the blocks it meets.
-
-    Entries between sectors are `zero` for two functions of one phase and
-    +0.0 across phases (sin(A) cos(B) integrates to zero against V).
-    """
-    sector = np.empty(len(sine), dtype=np.intp)
-    for k, blk in enumerate(blocks):
-        sector[blk.positions] = k
-    sector = sector[pos]
-    out = np.where(sine[pos, None] == sine[pos], zero, 0.0)
-    for k in np.unique(sector).tolist():
-        rows = np.flatnonzero(sector == k)
-        inner = blocks[k].positions.searchsorted(pos[rows])
-        out[rows[:, None], rows] = blocks[k].matrix[inner[:, None], inner]
+def _dense(fld: PotentialField, basis: Basis, form: bool) -> np.ndarray:
+    """The matrix from one gather within sectors; between them -0.0 (+0.0 in b) in a phase, +0.0 across."""
+    _, order, sizes = _sectors(basis, fld.surface.n)
+    i, j = _outer(order, sizes, order, sizes)
+    out = np.where(basis.sine[:, None] == basis.sine, -0.0 if form else 0.0, 0.0)
+    out[i, j] = gather_pairs(fld, basis, i, j, form)
     return out
 
 
 def b_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
     """b_ij = integral of V u_i u_j for every pair of functions of the basis."""
-    blocks = gather_sectors(fld, basis, sector_positions(basis, fld.surface.n))
-    return _dense(blocks, basis.sine, np.arange(len(basis)), 0.0)
+    return _dense(fld, basis, form=False)
 
 
 def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
-    """alpha_i delta_ij - b_ij restricted to the span of the basis.
+    """alpha_i delta_ij - b_ij on the span of the basis (distinct functions), symmetric bit for bit."""
+    return _dense(fld, basis, form=True)
 
-    Symmetric bit for bit: b_ij and b_ji are computed by the same operations.
+
+# Rows gathered against their sector; the half sizes, ascending; per half member (half after half):
+# its row's offset in the gather, its column and its mirror's, its sign (+1 even, -1 odd, 0 self).
+_Fold = namedtuple("_Fold", "rows row_counts order sizes half_sizes offset col twin sign")
+
+
+def _fold_plan(basis: Basis, n: int) -> _Fold:
+    """Split each sector whose mirror partners are all in the basis; keep the others whole.
+
+    A closed sector gathers the rows of its representatives (a pair member
+    whose partner comes later, or a self-mirror) and splits into an even
+    half (the pairs and the self-mirrors of sign +1) and an odd one (the
+    pairs and those of sign -1).  No array has more entries than the basis.
     """
-    blocks = gather_sectors(fld, basis, sector_positions(basis, fld.surface.n), form=True)
-    return _dense(blocks, basis.sine, np.arange(len(basis)), -0.0)
+    key, order, sizes = _sectors(basis, n)
+    partner, mirror_sign = mirror_partners(basis)
+    here, starts = np.arange(len(basis)), np.cumsum(sizes) - sizes
+    closed = np.bincount(key[partner < 0], minlength=key.max() + 1)[key] == 0
+    twin = np.where(closed, partner, here)
+    pair, row = twin != here, twin >= here
+    rows, row_counts = order[row[order]], np.add.reduceat(row[order], starts, dtype=np.intp)
+    offset, col = np.zeros_like(here), np.empty_like(here)
+    offset[rows] = np.cumsum(np.repeat(sizes, row_counts)) - np.repeat(sizes, row_counts)
+    col[order] = here - np.repeat(starts, sizes)
+    even = np.flatnonzero(row & (pair | (mirror_sign > 0) | ~closed))
+    odd = np.flatnonzero(row & closed & (pair | (mirror_sign < 0)))
+    members = np.concatenate([even, odd])
+    half = np.concatenate([2 * key[even], 2 * key[odd] + 1])
+    counts = np.bincount(half)
+    pick = np.lexsort((members, half, counts[half]))
+    members, half = members[pick], half[pick]
+    sign = np.where(pair[members], 1.0 - 2.0 * (half % 2), 0.0)
+    member = offset[members], col[members], col[twin[members]]
+    return _Fold(rows, row_counts, order, sizes, np.sort(counts[counts > 0]), *member, sign)
+
+
+def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[np.ndarray, ...]:
+    """The halves of A_m from one gather, as (count, k, k) stacks of ascending k.
+
+    In the basis (u_i +- u_Ri) / sqrt(2) of a pair and u_i of a self-mirror,
+    with X = A[i, j] and Y = A[i, R j]: a pair-pair entry is X + Y in the
+    even half and X - Y in the odd one, pair-self sqrt(2) X, self-self X.
+    """
+    i, j = _outer(plan.rows, plan.row_counts, plan.order, plan.sizes)
+    flat = gather_pairs(fld, basis, i, j, form=True)
+    sizes, counts = np.unique(plan.half_sizes, return_counts=True)
+    stacks, first = [], 0
+    for k, g in zip(sizes.tolist(), counts.tolist()):
+        at, first = slice(first, first + g * k), first + g * k
+        start, sign = plan.offset[at].reshape(g, k, 1), plan.sign[at].reshape(g, k)
+        pair = np.abs(sign)
+        x = flat[start + plan.col[at].reshape(g, 1, k)]
+        x *= np.where(pair[:, :, None] == pair[:, None, :], 1.0, np.sqrt(2.0))
+        x += flat[start + plan.twin[at].reshape(g, 1, k)] * (pair[:, :, None] * sign[:, None, :])
+        stacks.append(x)
+    return tuple(stacks)
 
 
 @dataclass(frozen=True)
 class GalerkinMatrix:
-    """A_m as its symmetry-sector blocks; every entry between sectors is zero."""
+    """A_m as its reflection halves, stacks of (count, k, k) ascending in k; dense views regather from fld."""
 
     m: int
-    blocks: tuple[SectorBlock, ...]
+    stacks: tuple[np.ndarray, ...]
     basis: Basis
-    surface: SurfaceParams
+    fld: PotentialField
     provenance: dict
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense m x m matrix (8 m^2 bytes, outside assemble's memory guard), scattered on each access."""
-        return self.principal(np.arange(self.m))
+        """The dense m x m matrix (8 m^2 bytes, outside assemble's memory guard), gathered on each access."""
+        return stability_matrix(self.fld, self.basis)
 
     def principal(self, pos) -> np.ndarray:
-        """The principal submatrix at positions pos, bit for bit that slice of entries."""
-        return _dense(self.blocks, self.basis.sine, np.asarray(pos, dtype=np.intp), -0.0)
+        """The principal submatrix at distinct positions pos, bit for bit that slice of entries."""
+        return stability_matrix(self.fld, self.basis[np.asarray(pos, dtype=np.intp)])
 
 
 def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest) -> None:
-    """ParameterError when that many in-sector pairs would not fit in physical memory."""
+    """ParameterError when gathering that many pairs would not fit in physical memory."""
     need, have = SECTOR_PAIR_BYTES * pairs, _physical_memory()
     if need > have:
         raise ParameterError(
@@ -337,35 +343,30 @@ def assemble(
     cfg: AssemblyConfig | None = None,
     fld: PotentialField | None = None,
 ) -> GalerkinMatrix:
-    """Assemble the m x m truncation of -Laplacian - V as its sector blocks.
+    """Assemble the m x m truncation of -Laplacian - V as its reflection halves.
 
     A prebuilt field may be passed to reuse one potential pass across calls;
     otherwise one covering the basis is sampled, or read from the cache.
-    An m whose in-sector pairs would not fit in physical memory raises
+    An m whose gathered pairs would not fit in physical memory raises
     ParameterError before V is sampled or any entry gathered; one that
     cannot fit whatever the sectors raises it before the basis is enumerated.
     """
     # wave_x classes 0..n up to sign, two wave_y parities and two phases make
     # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
-    # in-sector pairs
+    # in-sector pairs, and a sector gathers at least half of its rows
     most = 4 * (p.n + 1)
-    _refuse_beyond_memory(m, m * m / most, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
+    least = m * m / (2 * most)
+    _refuse_beyond_memory(m, least, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     basis = enumerate_basis(lattice(p), m)
-    sectors = sector_positions(basis, p.n)
-    sizes = [len(s) for s in sectors]
-    _refuse_beyond_memory(m, sum(k * k for k in sizes), f"{len(sizes)} symmetry blocks", max(sizes))
+    plan = _fold_plan(basis, p.n)
+    sizes = plan.sizes
+    _refuse_beyond_memory(m, int(plan.row_counts @ sizes), f"{len(sizes)} symmetry blocks", max(sizes))
     if fld is None:
         fld = potential_field(p, basis, cfg or AssemblyConfig())
-    blocks = tuple(gather_sectors(fld, basis, sectors, form=True))
-    provenance = {
-        "surface": p.label,
-        "H": p.H,
-        "theta_degrees": p.theta_degrees,
-        "m": m,
-        "nx": fld.nx,
-        "ny": fld.ny,
-    }
-    return GalerkinMatrix(m=m, blocks=blocks, basis=basis, surface=p, provenance=provenance)
+    stacks = _half_stacks(fld, basis, plan)
+    provenance = {"surface": p.label, "H": p.H, "theta_degrees": p.theta_degrees, "m": m}
+    provenance |= {"nx": fld.nx, "ny": fld.ny}
+    return GalerkinMatrix(m=m, stacks=stacks, basis=basis, fld=fld, provenance=provenance)
 
 
 # --- potential-field cache -------------------------------------------------

@@ -1,12 +1,13 @@
 """Symmetric eigendecomposition and negative-eigenvalue counting.
 
-A_m is block diagonal over its symmetry sectors, so its spectrum is the
-union of the block spectra.  Each block goes to LAPACK's symmetric solver
-(tridiagonalization followed by implicit-shift iteration), which is
-deterministic for a fixed input.  Counting negatives uses a relative zero
-tolerance: eigenvalues inside the tolerance band are reported as uncertain
-rather than silently classified, since the torus operator carries a
-six-dimensional kernel whose truncated eigenvalues approach zero from above.
+A_m is an orthogonal sum of the reflection halves of its symmetry sectors,
+so its spectrum is the union of theirs.  Each stack of equal-size halves
+goes to LAPACK's symmetric solver (tridiagonalization followed by
+implicit-shift iteration) in one batched call, deterministic for a fixed
+input.  Counting negatives uses a relative zero tolerance: eigenvalues
+inside the tolerance band are reported as uncertain rather than silently
+classified, since the torus operator carries a six-dimensional kernel whose
+truncated eigenvalues approach zero from above.
 """
 
 from __future__ import annotations
@@ -60,28 +61,28 @@ class SpectrumEstimate:
 def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = None) -> SpectrumEstimate:
     """Full spectrum of a symmetric matrix with a residual certificate.
 
-    A GalerkinMatrix is solved one sector block at a time and the spectra
-    merged; an ndarray is one block.  residual_bound is the largest
-    eigenpair residual over all blocks.  Eigenvalues within zero_tol of zero
-    (default ZERO_TOL_RELATIVE * ||A||) are counted as uncertain, the rest
-    below it as negative.  Raises ValueError when a block is not symmetric
-    to rounding accuracy, or when zero_tol is negative or not finite (either
-    would silently move the band).
+    A GalerkinMatrix is solved one stack of equal-size halves at a time and
+    the spectra merged; an ndarray is a stack of one.  residual_bound is
+    the largest eigenpair residual over all halves.  Eigenvalues within
+    zero_tol of zero (default ZERO_TOL_RELATIVE * ||A||) are counted as
+    uncertain, the rest below it as negative.  Raises ValueError when a
+    matrix is not symmetric to rounding accuracy, or when zero_tol is
+    negative or not finite (either would silently move the band).
     """
     if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
         raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
-    mats = [blk.matrix for blk in a.blocks] if isinstance(a, GalerkinMatrix) else [np.asarray(a, float)]
     spectra, residuals = [], []
-    for mat in mats:
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        scale = float(np.max(np.abs(mat))) or 1.0
-        asym = float(np.max(np.abs(mat - mat.T)))
-        if asym > _SYMMETRY_RTOL * scale:
-            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym:g}")
-        values, vectors = np.linalg.eigh(mat)
-        residuals.append(float(np.max(np.linalg.norm(mat @ vectors - vectors * values, axis=0))))
-        spectra.append(values)
+    for stack in a.stacks if isinstance(a, GalerkinMatrix) else (np.asarray(a, float)[None],):
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
+        scale = np.max(np.abs(stack), axis=(1, 2))
+        asym = np.max(np.abs(stack - stack.transpose(0, 2, 1)), axis=(1, 2))
+        if np.any(asym > _SYMMETRY_RTOL * np.where(scale > 0.0, scale, 1.0)):
+            raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym.max():g}")
+        values, vectors = np.linalg.eigh(stack)
+        residual = stack @ vectors - vectors * values[:, None, :]
+        residuals.append(float(np.max(np.linalg.norm(residual, axis=1))))
+        spectra.append(values.ravel())
     values = np.sort(np.concatenate(spectra))
     if zero_tol is None:
         zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from wente_index.assembly import AssemblyConfig, assemble, b_entry_quadrature, b_matrix, potential_field
+from wente_index.assembly import AssemblyConfig, assemble, b_matrix, potential_field
 from wente_index.basis import enumerate_basis
 from wente_index.bounds import (
     SUBSPACE_SETS,
@@ -30,6 +30,8 @@ from wente_index.elliptic import EllipticModulus, complete_K, jacobi_cn
 from wente_index.reference import REFERENCE_ESTIMATES, REFERENCE_GEOMETRY, estimate_row
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import build_surface, catalog_surface, lattice, potential_extrema
+
+from oracles import b_entry_quadrature
 
 RANGE_RTOL = 0.02
 ROW_SECONDS = 60.0

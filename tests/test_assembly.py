@@ -10,7 +10,6 @@ from wente_index.assembly import (
     NyquistError,
     PotentialField,
     assemble,
-    b_entry_quadrature,
     b_matrix,
     potential_field,
     field_cache_key,
@@ -21,6 +20,8 @@ from wente_index.assembly import (
 )
 from wente_index.basis import enumerate_basis
 from wente_index.surface import build_surface, lattice, potential_extrema, potential_grid
+
+from oracles import b_entry_quadrature, sector_positions, sine_channel_max
 
 # The published 9x9 restriction for the 3/2 torus is diagonal; entries are
 # printed to three significant figures.
@@ -109,8 +110,8 @@ class TestSampling:
         assert w32_field.coeffs[0, 0] == pytest.approx(float(w32_field.grid.mean()), rel=1e-13)
 
     def test_sine_channel_vanishes(self, w32_field, w43_field):
-        assert w32_field.sine_channel_max(12, 12) < 1e-10
-        assert w43_field.sine_channel_max(12, 12) < 1e-10
+        assert sine_channel_max(w32_field, 12, 12) < 1e-10
+        assert sine_channel_max(w43_field, 12, 12) < 1e-10
 
     def test_off_lattice_coefficients_vanish(self, w32, w43):
         # over the whole torus rectangle V carries only the frequencies of
@@ -294,16 +295,23 @@ class TestAssemble:
 
     def test_memory_guard_refuses_before_sampling(self, w32, monkeypatch):
         import wente_index.assembly as assembly_mod
-        from wente_index.assembly import SECTOR_PAIR_BYTES, sector_positions
+        from wente_index.assembly import SECTOR_PAIR_BYTES, mirror_partners
         from wente_index.surface import ParameterError
 
         def never(*args, **kwargs):
             raise AssertionError("sampled despite the guard")
 
         monkeypatch.setattr(assembly_mod, "cached_sample_potential", never)
-        monkeypatch.setattr(assembly_mod, "gather_sectors", never)
-        sectors = sector_positions(enumerate_basis(lattice(w32), 1013), w32.n)
-        need = SECTOR_PAIR_BYTES * sum(len(s) ** 2 for s in sectors)
+        monkeypatch.setattr(assembly_mod, "gather_pairs", never)
+        basis = enumerate_basis(lattice(w32), 1013)
+        partner, _ = mirror_partners(basis)
+        # a sector closed under the mirror gathers the rows of one function
+        # per mirror pair and of each self-mirror, an open one every row
+        pairs = 0
+        for s in sector_positions(basis, w32.n):
+            closed = np.all(partner[s] >= 0)
+            pairs += len(s) * (int(np.sum(partner[s] >= s)) if closed else len(s))
+        need = SECTOR_PAIR_BYTES * pairs
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match="m = 1013 needs about"):
             assemble(w32, 1013)
@@ -320,8 +328,9 @@ class TestAssemble:
 
         monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
         # 3/2 has at most 12 sectors, so A_1200 holds at least 1200^2 / 12
-        # in-sector pairs: 11.52 MB at SECTOR_PAIR_BYTES = 80
-        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 12
+        # in-sector pairs, and gathers at least half of them: 5.76 MB at
+        # SECTOR_PAIR_BYTES = 80
+        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 24
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
             assemble(w32, 1200)

@@ -1,9 +1,10 @@
-"""A_m as symmetry-sector blocks: partition, bits, structural zeros, spectrum, memory guard.
+"""A_m as the reflection halves of its symmetry sectors.
 
-The dense reference below is the gather the sector blocks replaced: one
-m_s x m_s block per phase, every same-phase pair computed whether or not
-its coefficients can be nonzero.  It knows nothing of the sectors, so the
-zeros it leaves between them are an independent check of the sector key.
+Partition, bits, structural zeros, the fold, the spectrum and the memory
+guard.  The dense reference below is a gather that knows nothing of the
+sectors: one m_s x m_s block per phase, every same-phase pair computed
+whether or not its coefficients can be nonzero.  The zeros it leaves
+between them are an independent check of the sector key.
 """
 
 import functools
@@ -13,15 +14,33 @@ import pytest
 
 import wente_index.assembly as assembly_mod
 import wente_index.basis as basis_mod
-from wente_index.assembly import AssemblyConfig, assemble, potential_field, sector_positions
+from wente_index.assembly import (
+    AssemblyConfig,
+    assemble,
+    b_matrix,
+    mirror_partners,
+    potential_field,
+)
 from wente_index.basis import enumerate_basis
-from wente_index.bounds import full_report
+from wente_index.bounds import default_m, full_report
 from wente_index.cli import main
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import catalog_surface, lattice
+from wente_index.surface import CATALOG, catalog_surface, lattice
+
+from oracles import sector_positions
 
 CASES = [(3, 2, 1013), (4, 3, 1089), (7, 6, 1013), (13, 7, 181), (73, 72, 85)]
 IDS = [f"{ell}/{n}@{m}" for ell, n, m in CASES]
+# every catalogued surface at its default size, and the large-m sizes
+FOLD_CASES = [(ell, n, default_m(catalog_surface(ell, n))) for ell, n, _ in CATALOG] + [
+    (3, 2, 1013),
+    (3, 2, 2113),
+    (7, 6, 1013),
+    (7, 6, 2113),
+    (4, 3, 1089),
+    (4, 3, 2025),
+]
+FOLD_IDS = [f"{ell}/{n}@{m}" for ell, n, m in FOLD_CASES]
 
 
 def _dense_gather(fld, basis):
@@ -49,12 +68,19 @@ def _case(ell, n, m):
 @pytest.mark.parametrize("ell,n,m", CASES, ids=IDS)
 def test_blocks_partition_the_positions(ell, n, m):
     matrix, _ = _case(ell, n, m)
-    positions = [blk.positions for blk in matrix.blocks]
-    assert np.array_equal(np.sort(np.concatenate(positions)), np.arange(m))
-    for pos, blk in zip(positions, matrix.blocks):
+    sectors = sector_positions(matrix.basis, n)
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(m))
+    # the library's sector key gives the same partition, in the same order
+    _, order, sizes = assembly_mod._sectors(matrix.basis, n)
+    assert [s.tolist() for s in np.split(order, np.cumsum(sizes)[:-1])] == [s.tolist() for s in sectors]
+    for pos in sectors:
         assert np.all(np.diff(pos) > 0)
-        assert blk.matrix.shape == (len(pos), len(pos))
         assert len(set(matrix.basis.sine[pos].tolist())) == 1
+    # the halves come in stacks of one size each, ascending
+    sizes = [stack.shape[1] for stack in matrix.stacks]
+    assert sizes == sorted(set(sizes))
+    assert all(stack.shape[1:] == (k, k) for stack, k in zip(matrix.stacks, sizes))
+    assert sum(stack.shape[0] * stack.shape[1] for stack in matrix.stacks) == m
 
 
 @pytest.mark.parametrize("ell,n,m", CASES, ids=IDS)
@@ -69,8 +95,8 @@ def test_entries_are_the_dense_gather_bit_for_bit(ell, n, m):
 def test_every_entry_between_sectors_is_exactly_zero(ell, n, m):
     matrix, dense = _case(ell, n, m)
     inside = np.zeros((m, m), dtype=bool)
-    for blk in matrix.blocks:
-        inside[np.ix_(blk.positions, blk.positions)] = True
+    for pos in sector_positions(matrix.basis, n):
+        inside[np.ix_(pos, pos)] = True
     assert not np.any(dense[~inside])
     # a truncation this size has at least one nonzero coupling off the diagonal
     assert np.any(dense[inside & ~np.eye(m, dtype=bool)])
@@ -83,7 +109,7 @@ def test_merged_spectrum_matches_the_dense_one(ell, n, m):
     sectors = eigen_symmetric(matrix)
     whole = eigen_symmetric(entries)
     scale = np.max(np.abs(np.linalg.eigvalsh(entries)))
-    assert np.max(np.abs(sectors.eigenvalues - np.linalg.eigvalsh(entries))) <= 1e-11 * scale
+    assert np.max(np.abs(sectors.eigenvalues - np.linalg.eigvalsh(entries))) <= 1e-13 * scale
     assert sectors.m == m
     assert (sectors.negative_count, sectors.uncertain_count) == (whole.negative_count, whole.uncertain_count)
     assert sectors.residual_bound <= 1e-8 * scale
@@ -98,6 +124,62 @@ def test_principal_is_the_slice_of_entries():
     assert np.array_equal(np.signbit(sub), np.signbit(expected))
 
 
+@functools.lru_cache(maxsize=None)
+def _fold_case(ell, n, m):
+    p = catalog_surface(ell, n)
+    basis = enumerate_basis(lattice(p), m)
+    return assemble(p, m, fld=potential_field(p, basis, AssemblyConfig()))
+
+
+@pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
+def test_sector_blocks_are_their_own_mirror_images(ell, n, m):
+    # the fold reads one row per mirror pair, so each sector block of b must
+    # be its own mirror image bit for bit; alpha of two partners may differ
+    # in its last bits on an even-parity lattice (6/5, 8/5 and 12/7 at their
+    # default m), which the fold rounds to the representative's
+    matrix = _fold_case(ell, n, m)
+    basis = matrix.basis
+    partner, sign = mirror_partners(basis)
+    assert np.all(partner >= 0)
+    b = b_matrix(matrix.fld, basis)
+    for pos in sector_positions(basis, n):
+        block = b[np.ix_(pos, pos)]
+        image = b[np.ix_(partner[pos], partner[pos])] * np.outer(sign[pos], sign[pos])
+        assert np.array_equal(image, block)
+    assert np.all(np.abs(basis.alpha[partner] - basis.alpha) <= 4 * np.spacing(basis.alpha))
+
+
+@pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
+def test_halves_hold_every_function_and_the_dense_spectrum(ell, n, m):
+    matrix = _fold_case(ell, n, m)
+    assert sum(stack.shape[0] * stack.shape[1] for stack in matrix.stacks) == m
+    dense = np.linalg.eigvalsh(matrix.entries)
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(eigen_symmetric(matrix).eigenvalues - dense)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("ell,n,m,opened", [(3, 2, 100, True), (4, 3, 50, False), (4, 3, 52, True)])
+def test_a_sector_open_under_the_mirror_stays_whole(ell, n, m, opened):
+    # a size that cuts a shell can leave partners out of the basis; 4/3 at
+    # m = 50 adds only sin(8, 0) to four full shells, its own mirror image
+    with pytest.warns(UserWarning, match="does not complete a shell"):
+        matrix = _fold_case(ell, n, m)
+    partner, _ = mirror_partners(matrix.basis)
+    open_sectors = [pos for pos in sector_positions(matrix.basis, n) if np.any(partner[pos] < 0)]
+    assert bool(open_sectors) == opened
+    halves = [half for stack in matrix.stacks for half in stack]
+    entries = matrix.entries
+    for pos in open_sectors:
+        whole = np.linalg.eigvalsh(entries[np.ix_(pos, pos)])
+        scale = max(1.0, np.max(np.abs(whole)))
+        assert any(
+            len(half) == len(pos) and np.max(np.abs(np.linalg.eigvalsh(half) - whole)) <= 1e-13 * scale
+            for half in halves
+        )
+    est, dense = eigen_symmetric(matrix), eigen_symmetric(entries)
+    assert (est.negative_count, est.uncertain_count) == (dense.negative_count, dense.uncertain_count)
+
+
 def _small_memory(monkeypatch, nbytes):
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: nbytes)
     monkeypatch.setattr(basis_mod, "_physical_memory", lambda: nbytes)
@@ -110,9 +192,10 @@ def test_guard_admits_3_2_at_2113_in_64_mib(monkeypatch):
 
 
 def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
-    # 4325 functions in at most 12 sectors need at least 119 MiB, the 12
-    # sectors 3/2 has 134 MiB: the exact count refuses, after enumerating
-    _small_memory(monkeypatch, 128 * 2**20)
+    # 4325 functions in at most 12 sectors gather at least 4325^2 / 24
+    # pairs (59 MiB at SECTOR_PAIR_BYTES = 80); the 12 sectors of 3/2
+    # gather 908208 (69 MiB): the exact count refuses, after enumerating
+    _small_memory(monkeypatch, 64 * 2**20)
     p = catalog_surface(3, 2)
     largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 4325), 2))
     with pytest.raises(SystemExit) as info:

@@ -45,8 +45,10 @@ def test_every_traced_name_resolves():
     ],
 )
 def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell, n, m, enumerations):
-    # gather_sectors is the one gather over all in-sector pairs of a matrix
-    calls = {"enumerate_basis": 0, "cached_sample_potential": 0, "gather_sectors": 0}
+    # gather_pairs is the one kernel pass behind a matrix: assemble's
+    # reflection halves and each dense view (stability_matrix, here the
+    # subspace restriction) call it once
+    calls = {"enumerate_basis": 0, "cached_sample_potential": 0, "gather_pairs": 0, "stability_matrix": 0}
 
     def counting(name, orig):
         def wrapper(*args, **kwargs):
@@ -62,7 +64,8 @@ def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell,
     assert calls == {
         "enumerate_basis": enumerations,
         "cached_sample_potential": enumerations,
-        "gather_sectors": enumerations,
+        "gather_pairs": enumerations + 1,
+        "stability_matrix": 1,
     }
 
 
