@@ -41,7 +41,6 @@ from .bounds import (
     IndexReport,
     courant_bound,
     full_report,
-    greedy_subspace_search,
     potential_sandwich,
     subspace_bound,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "IndexReport",
     "courant_bound",
     "full_report",
-    "greedy_subspace_search",
     "potential_sandwich",
     "subspace_bound",
 ]

@@ -17,11 +17,20 @@ b_{Ri,Rj} = sign_i sign_j b_ij bit for bit and one row per mirror pair is
 gathered (alpha of two partners can differ in its last bit on an
 even-parity lattice; the representative's is used).
 
+A class c = min(a mod 2n, -a mod 2n) other than 0 and n is complex: for two
+functions of its sectors one of w_i -+ w_j has x wave +-2c mod 2n, off the
+lattice, so with S = diag(+-1) (+1 where a = c mod 2n) the sine sector
+block is S (cosine block) S bit for bit.  Mirror partners share a, so S
+passes through the fold (Fassler & Stiefel, ch. 5, on complex-conjugate
+characters in a real operator): the sine sector gathers nothing and the
+cosine halves count twice.  An even m ends on a sine without its cosine,
+and that sector is solved on its own.
+
 assemble, the only code that enumerates the basis and samples V for the
 index computations, returns the halves.  The dense views (entries,
 principal, b_matrix and stability_matrix on any basis[pos]; published index
 i is position i - 1) gather every pair within a sector through the same
-kernel, gather_pairs, so their bits do not depend on the fold.
+kernel, gather_pairs, so their bits do not depend on the fold or the twins.
 """
 
 from __future__ import annotations
@@ -112,25 +121,35 @@ class PotentialField:
         returned as exact 0.0.  An on-lattice coefficient beyond the stored
         table raises CoefficientRangeError.
         """
-        a = np.abs(np.asarray(wave_x, dtype=np.int64))
-        b = np.abs(np.asarray(wave_y, dtype=np.int64))
-        step = 2 * self.surface.n
-        rows, cols = a.max() // step + 1, b.max() // 2 + 1
-        # lookup table by wave integer: exact zeros off the lattice, NaN on
-        # lattice waves whose coefficient lies beyond the stored table
-        pdim, qdim = self.coeffs.shape
-        padded = np.full((max(rows, pdim), max(cols, qdim)), np.nan)
-        padded[:pdim, :qdim] = self.coeffs
-        table = np.zeros((a.max() + 1, b.max() + 1))
-        table[::step, ::2] = padded[:rows, :cols]
-        values = table[a, b]
-        missing = np.isnan(values)
-        if missing.any():
-            k = np.flatnonzero(missing)[0]
-            raise CoefficientRangeError(
-                f"coefficient ({a.flat[k]}, {b.flat[k]}) outside stored range {self.coeffs.shape}"
-            )
-        return values
+        a, b = np.asarray(wave_x, dtype=np.int64), np.asarray(wave_y, dtype=np.int64)
+        reach_x, reach_y = int(np.abs(a).max()), int(np.abs(b).max())
+        width = 2 * reach_y + 1
+        return _read(self, _signed_table(self, reach_x, reach_y), width, (a + reach_x) * width + b + reach_y)
+
+
+def _signed_table(fld: PotentialField, reach_x: int, reach_y: int) -> np.ndarray:
+    """Coefficients at every signed wave |wave_x| <= reach_x, |wave_y| <= reach_y, row-major and flat.
+
+    Wave (wx, wy) sits at (wx + reach_x) (2 reach_y + 1) + wy + reach_y;
+    off the lattice (2n, 2) exact 0.0, on it beyond the stored table NaN.
+    """
+    step = 2 * fld.surface.n
+    px, qy = np.abs(np.arange(-reach_x, reach_x + 1)), np.abs(np.arange(-reach_y, reach_y + 1))
+    pdim, qdim = fld.coeffs.shape
+    padded = np.full((max(reach_x // step + 1, pdim), max(reach_y // 2 + 1, qdim)), np.nan)
+    padded[:pdim, :qdim] = fld.coeffs
+    on = (px % step == 0)[:, None] & (qy % 2 == 0)
+    return np.where(on, padded[px // step][:, qy // 2], 0.0).ravel()
+
+
+def _read(fld: PotentialField, table: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
+    """table[at] from a _signed_table of rows width long; CoefficientRangeError on a NaN."""
+    values = table[at]
+    if np.isnan(values).any():
+        row, col = divmod(int(at.flat[np.argmax(np.isnan(values))]), width)
+        wave = abs(row - len(table) // width // 2), abs(col - width // 2)
+        raise CoefficientRangeError(f"coefficient {wave} outside stored range {fld.coeffs.shape}")
+    return values
 
 
 def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -> PotentialField:
@@ -215,13 +234,16 @@ def gather_pairs(fld: PotentialField, basis: Basis, i: np.ndarray, j: np.ndarray
 
     A same-phase pair reduces to the cosine coefficients at the wave
     difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
-    - C[w_i + w_j]) for sines and with + for cosines.  All pairs share one
-    cos_coefficient call for the differences and one for the sums; (i, j)
-    and (j, i) take the same operations, so the result is bit-symmetric.
+    - C[w_i + w_j]) for sines and with + for cosines.  Every pair reads one
+    _signed_table, at the wave codes code_i -+ code_j with code = wave_x W +
+    wave_y; (i, j) and (j, i) take the same operations, so the result is
+    bit-symmetric.
     """
-    wx, wy = basis.wave_x, basis.wave_y
-    diff = fld.cos_coefficient(wx[i] - wx[j], wy[i] - wy[j])
-    total = fld.cos_coefficient(wx[i] + wx[j], wy[i] + wy[j])
+    reach_x, reach_y = 2 * int(np.abs(basis.wave_x).max()), 2 * int(np.abs(basis.wave_y).max())
+    table, width = _signed_table(fld, reach_x, reach_y), 2 * reach_y + 1
+    code = basis.wave_x * width + basis.wave_y
+    at, other = (code + (reach_x * width + reach_y))[i], code[j]
+    diff, total = _read(fld, table, width, at - other), _read(fld, table, width, at + other)
     np.negative(total, out=total, where=basis.sine[i])
     b = basis.norm[i] * basis.norm[j] * fld.area * (0.5 * (diff + total))
     if form:
@@ -250,9 +272,9 @@ def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
     return _dense(fld, basis, form=True)
 
 
-# Rows gathered against their sector; the half sizes, ascending; per half member (half after half):
-# its row's offset in the gather, its column and its mirror's, its sign (+1 even, -1 odd, 0 self).
-_Fold = namedtuple("_Fold", "rows row_counts order sizes half_sizes offset col twin sign")
+# Rows gathered against their sector; the half sizes, ascending, and their copies; per half member (half
+# after half): its row's offset in the gather, its column and its mirror's, its sign (+1 even, -1 odd, 0 self).
+_Fold = namedtuple("_Fold", "rows row_counts order sizes half_sizes copies offset col mirror sign")
 
 
 def _fold_plan(basis: Basis, n: int) -> _Fold:
@@ -261,14 +283,19 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     A closed sector gathers the rows of its representatives (a pair member
     whose partner comes later, or a self-mirror) and splits into an even
     half (the pairs and the self-mirrors of sign +1) and an odd one (the
-    pairs and those of sign -1).  No array has more entries than the basis.
+    pairs and those of sign -1).  The sine sector of a complex class that
+    holds the cosine sector's modes gathers nothing: the cosine sector's
+    halves count twice.  No array has more entries than the basis.
     """
     key, order, sizes = _sectors(basis, n)
     partner, mirror_sign = mirror_partners(basis)
     here, starts = np.arange(len(basis)), np.cumsum(sizes) - sizes
     closed = np.bincount(key[partner < 0], minlength=key.max() + 1)[key] == 0
-    twin = np.where(closed, partner, here)
-    pair, row = twin != here, twin >= here
+    mirror = np.where(closed, partner, here)
+    # a cosine sector holds the cosines of a subset of its sine sector's modes, all of them when the sizes agree
+    cls, per_key = np.arange(key.max() + 2), np.bincount(key, minlength=key.max() + 2)
+    twin = (cls % 2 == 1) & (cls // 4 % n != 0) & (per_key == np.roll(per_key, 1))
+    pair, row = mirror != here, (mirror >= here) & ~twin[key]
     rows, row_counts = order[row[order]], np.add.reduceat(row[order], starts, dtype=np.intp)
     offset, col = np.zeros_like(here), np.empty_like(here)
     offset[rows] = np.cumsum(np.repeat(sizes, row_counts)) - np.repeat(sizes, row_counts)
@@ -280,13 +307,14 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     counts = np.bincount(half)
     pick = np.lexsort((members, half, counts[half]))
     members, half = members[pick], half[pick]
+    halves = np.argsort(counts, kind="stable")[-np.count_nonzero(counts):]
     sign = np.where(pair[members], 1.0 - 2.0 * (half % 2), 0.0)
-    member = offset[members], col[members], col[twin[members]]
-    return _Fold(rows, row_counts, order, sizes, np.sort(counts[counts > 0]), *member, sign)
+    member = offset[members], col[members], col[mirror[members]]
+    return _Fold(rows, row_counts, order, sizes, counts[halves], 1 + twin[halves // 2 + 1], *member, sign)
 
 
-def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[np.ndarray, ...]:
-    """The halves of A_m from one gather, as (count, k, k) stacks of ascending k.
+def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[np.ndarray, ...], tuple]:
+    """The halves of A_m from one gather, as (count, k, k) stacks of ascending k, and their copies.
 
     In the basis (u_i +- u_Ri) / sqrt(2) of a pair and u_i of a self-mirror,
     with X = A[i, j] and Y = A[i, R j]: a pair-pair entry is X + Y in the
@@ -296,15 +324,16 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[np.nda
     flat = gather_pairs(fld, basis, i, j, form=True)
     sizes, counts = np.unique(plan.half_sizes, return_counts=True)
     stacks, first = [], 0
+    copies = np.split(plan.copies, np.cumsum(counts)[:-1])
     for k, g in zip(sizes.tolist(), counts.tolist()):
         at, first = slice(first, first + g * k), first + g * k
         start, sign = plan.offset[at].reshape(g, k, 1), plan.sign[at].reshape(g, k)
         pair = np.abs(sign)
         x = flat[start + plan.col[at].reshape(g, 1, k)]
         x *= np.where(pair[:, :, None] == pair[:, None, :], 1.0, np.sqrt(2.0))
-        x += flat[start + plan.twin[at].reshape(g, 1, k)] * (pair[:, :, None] * sign[:, None, :])
+        x += flat[start + plan.mirror[at].reshape(g, 1, k)] * (pair[:, :, None] * sign[:, None, :])
         stacks.append(x)
-    return tuple(stacks)
+    return tuple(stacks), tuple(copies)
 
 
 @dataclass(frozen=True)
@@ -313,6 +342,7 @@ class GalerkinMatrix:
 
     m: int
     stacks: tuple[np.ndarray, ...]
+    copies: tuple[np.ndarray, ...]  # copies[s][h] in {1, 2}: how often A_m holds the spectrum of stacks[s][h]
     basis: Basis
     fld: PotentialField
     provenance: dict
@@ -353,9 +383,10 @@ def assemble(
     """
     # wave_x classes 0..n up to sign, two wave_y parities and two phases make
     # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
-    # in-sector pairs, and a sector gathers at least half of its rows
+    # in-sector pairs; gathered sectors hold at least half (a skipped twin is
+    # as large as its cosine) and read at least half of their rows
     most = 4 * (p.n + 1)
-    least = m * m / (2 * most)
+    least = m * m / (4 * most)
     _refuse_beyond_memory(m, least, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     basis = enumerate_basis(lattice(p), m)
     plan = _fold_plan(basis, p.n)
@@ -363,10 +394,10 @@ def assemble(
     _refuse_beyond_memory(m, int(plan.row_counts @ sizes), f"{len(sizes)} symmetry blocks", max(sizes))
     if fld is None:
         fld = potential_field(p, basis, cfg or AssemblyConfig())
-    stacks = _half_stacks(fld, basis, plan)
+    stacks, copies = _half_stacks(fld, basis, plan)
     provenance = {"surface": p.label, "H": p.H, "theta_degrees": p.theta_degrees, "m": m}
     provenance |= {"nx": fld.nx, "ny": fld.ny}
-    return GalerkinMatrix(m=m, stacks=stacks, basis=basis, fld=fld, provenance=provenance)
+    return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld, provenance=provenance)
 
 
 # --- potential-field cache -------------------------------------------------

@@ -111,27 +111,27 @@ def shells_holding(parity: str, m: int) -> int:
 
 def shell_complete_sizes(parity: str, max_size: int) -> list[int]:
     """All shell-complete sizes up to max_size, ascending."""
-    sizes = []
-    shells = 1
-    while shell_complete_size(parity, shells) <= max_size:
-        sizes.append(shell_complete_size(parity, shells))
-        shells += 1
-    return sizes
+    return [shell_complete_size(parity, s) for s in range(1, shells_holding(parity, max_size + 1))]
 
 
 def is_shell_complete(parity: str, m: int) -> bool:
     return m in shell_complete_sizes(parity, m)
 
 
-def _shell_waves(parity: str, shell: int) -> np.ndarray:
-    """Wave pairs (a, b) of one shell, one row each, in enumeration order."""
-    if shell == 0:
-        return np.zeros((1, 2), dtype=np.int64)
-    radius = shell if parity == "odd" else 2 * shell
-    a = np.arange(radius - 1, 0, -1)
-    # each interior a takes b = radius - a and then its negative
-    b = np.stack([radius - a, a - radius], axis=1).ravel()
-    return np.concatenate([[[radius, 0]], np.stack([np.repeat(a, 2), b], axis=1), [[0, radius]]])
+def _waves(parity: str, shells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Wave pairs (a, b) of the first `shells` shells, in enumeration order.
+
+    Shell s > 0 of radius r (s odd parity, 2s even) holds 2r waves; its
+    t-th is a = r - 1 - (t - 1) // 2 (floor), b = +-(r - a) with + at odd t,
+    which gives (r, 0) first and (0, r) last.
+    """
+    s = np.arange(1, shells)
+    radius = s if parity == "odd" else 2 * s
+    r = np.repeat(radius, 2 * radius)
+    t = np.arange(len(r)) - np.repeat(np.cumsum(2 * radius) - 2 * radius, 2 * radius) - 1
+    a = r - 1 - t // 2
+    b = np.where(t % 2 == 0, r - a, a - r)
+    return np.concatenate([[0], a]), np.concatenate([[0], b])
 
 
 def _frequencies(lat: Lattice, m1: np.ndarray, m2: np.ndarray):
@@ -153,8 +153,7 @@ def enumerate_basis(lat: Lattice, m: int) -> Basis:
         raise ValueError("m must be at least 1")
     if not is_shell_complete(lat.parity, m):
         warnings.warn(f"basis size {m} does not complete a shell ({lat.parity} parity)", stacklevel=2)
-    waves = np.concatenate([_shell_waves(lat.parity, s) for s in range(shells_holding(lat.parity, m))])
-    a, b = waves[:, 0], waves[:, 1]
+    a, b = _waves(lat.parity, shells_holding(lat.parity, m))
     # lattice mode (m1, m2) of each wave pair
     fx, fy, alpha = _frequencies(lat, b, a if lat.parity == "odd" else (a + b) // 2)
     # the constant carries the cosine only, every other mode k the sine at

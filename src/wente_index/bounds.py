@@ -44,7 +44,6 @@ __all__ = [
     "courant_bound",
     "potential_sandwich",
     "subspace_bound",
-    "greedy_subspace_search",
     "default_m",
     "full_report",
 ]
@@ -137,39 +136,6 @@ def subspace_bound(
         matrix=mat,
         indices=indices,
     )
-
-
-def greedy_subspace_search(
-    p: SurfaceParams, pool_size: int, cfg: AssemblyConfig | None = None
-) -> tuple[tuple[int, ...], int]:
-    """Grow a negative definite index set greedily from the first pool_size functions.
-
-    At each step the candidate whose inclusion leaves the largest eigenvalue
-    most negative is added; ties break toward the smaller basis index, so
-    the search is deterministic.
-    """
-    if pool_size < 1:
-        raise ParameterError("pool_size must be at least 1")
-    full = assemble(p, default_m(p, pool_size), cfg).principal(np.arange(pool_size))
-    chosen: list[int] = []
-    remaining = list(range(pool_size))
-    while remaining:
-        best_pos = None
-        best_top = None
-        for pos in remaining:
-            trial = chosen + [pos]
-            sub = full[np.ix_(trial, trial)]
-            top = float(np.linalg.eigvalsh(sub)[-1])
-            if top < 0.0 and (best_top is None or top < best_top):
-                best_top = top
-                best_pos = pos
-        if best_pos is None:
-            break
-        chosen.append(best_pos)
-        remaining.remove(best_pos)
-    indices = tuple(sorted(pos + 1 for pos in chosen))
-    implied = len(indices) - 1 if indices else 0
-    return indices, implied
 
 
 def default_m(p: SurfaceParams, at_least: int = 81) -> int:

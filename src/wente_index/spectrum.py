@@ -1,13 +1,16 @@
 """Symmetric eigendecomposition and negative-eigenvalue counting.
 
 A_m is an orthogonal sum of the reflection halves of its symmetry sectors,
-so its spectrum is the union of theirs.  Each stack of equal-size halves
-goes to LAPACK's symmetric solver (tridiagonalization followed by
-implicit-shift iteration) in one batched call, deterministic for a fixed
-input.  Counting negatives uses a relative zero tolerance: eigenvalues
-inside the tolerance band are reported as uncertain rather than silently
-classified, since the torus operator carries a six-dimensional kernel whose
-truncated eigenvalues approach zero from above.
+so its spectrum is the union of theirs.  A complex class's sine half is
+S H S for a cosine half H and signs S, so H is solved once and counted
+twice; the residual at (lambda, S v) is S times H's at (lambda, v), so
+residual_bound covers the twin.  Each stack of equal-size halves goes to
+LAPACK's symmetric solver (tridiagonalization followed by implicit-shift
+iteration) in one batched call, deterministic for a fixed input.  Counting
+negatives uses a relative zero tolerance: eigenvalues inside the tolerance
+band are reported as uncertain rather than silently classified, since the
+torus operator carries a six-dimensional kernel whose truncated eigenvalues
+approach zero from above.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
     """Full spectrum of a symmetric matrix with a residual certificate.
 
     A GalerkinMatrix is solved one stack of equal-size halves at a time and
-    the spectra merged; an ndarray is a stack of one.  residual_bound is
-    the largest eigenpair residual over all halves.  Eigenvalues within
+    the spectra merged, each half's as often as its copies say; an ndarray
+    is a stack of one.  residual_bound is the largest eigenpair residual
+    over the halves solved; it covers their twins.  Eigenvalues within
     zero_tol of zero (default ZERO_TOL_RELATIVE * ||A||) are counted as
     uncertain, the rest below it as negative.  Raises ValueError when a
     matrix is not symmetric to rounding accuracy, or when zero_tol is
@@ -71,8 +75,10 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
     """
     if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
         raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
+    solo = not isinstance(a, GalerkinMatrix)
+    stacks, copies = ((np.asarray(a, float)[None],), (1,)) if solo else (a.stacks, a.copies)
     spectra, residuals = [], []
-    for stack in a.stacks if isinstance(a, GalerkinMatrix) else (np.asarray(a, float)[None],):
+    for stack, copy in zip(stacks, copies):
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
         scale = np.max(np.abs(stack), axis=(1, 2))
@@ -82,7 +88,7 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
         values, vectors = np.linalg.eigh(stack)
         residual = stack @ vectors - vectors * values[:, None, :]
         residuals.append(float(np.max(np.linalg.norm(residual, axis=1))))
-        spectra.append(values.ravel())
+        spectra.append(np.repeat(values, copy, axis=0).ravel())
     values = np.sort(np.concatenate(spectra))
     if zero_tol is None:
         zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)

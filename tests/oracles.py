@@ -6,6 +6,7 @@ the same discrete Fourier transform as the coefficient table, so it checks
 the gather, not aliasing.  sine_channel_max measures the sine-coupled
 coefficients of V, which vanish for an even potential.  sector_positions
 partitions a basis into the symmetry sectors of A_m one function at a time.
+shell_waves walks the enumeration shells one at a time.
 """
 
 import numpy as np
@@ -76,3 +77,18 @@ def sector_positions(basis: Basis, n: int) -> list[np.ndarray]:
     for pos, (a, b, sine) in enumerate(waves):
         sectors.setdefault((min(a % (2 * n), -a % (2 * n)), b % 2, sine), []).append(pos)
     return [np.array(sectors[cls]) for cls in sorted(sectors)]
+
+
+def shell_waves(parity: str, shells: int) -> np.ndarray:
+    """Wave pairs (a, b) of the first `shells` shells, one row each, one shell at a time.
+
+    Shell s > 0 of radius r (s odd parity, 2s even) is (r, 0), then each
+    interior a descending with b = r - a and then its negative, then (0, r).
+    """
+    rows = [np.zeros((1, 2), dtype=np.int64)]
+    for shell in range(1, shells):
+        radius = shell if parity == "odd" else 2 * shell
+        a = np.arange(radius - 1, 0, -1)
+        b = np.stack([radius - a, a - radius], axis=1).ravel()
+        rows.append(np.concatenate([[[radius, 0]], np.stack([np.repeat(a, 2), b], axis=1), [[0, radius]]]))
+    return np.concatenate(rows)

@@ -306,9 +306,13 @@ class TestAssemble:
         basis = enumerate_basis(lattice(w32), 1013)
         partner, _ = mirror_partners(basis)
         # a sector closed under the mirror gathers the rows of one function
-        # per mirror pair and of each self-mirror, an open one every row
+        # per mirror pair and of each self-mirror, an open one every row; the
+        # sine sector of a complex class (wave_x = +-1 mod 4) whose functions
+        # all have their cosines gathers none
         pairs = 0
         for s in sector_positions(basis, w32.n):
+            if basis.sine[s[0]] and basis.wave_x[s[0]] % 2 == 1 and s[-1] + 1 < len(basis):
+                continue
             closed = np.all(partner[s] >= 0)
             pairs += len(s) * (int(np.sum(partner[s] >= s)) if closed else len(s))
         need = SECTOR_PAIR_BYTES * pairs
@@ -328,9 +332,10 @@ class TestAssemble:
 
         monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
         # 3/2 has at most 12 sectors, so A_1200 holds at least 1200^2 / 12
-        # in-sector pairs, and gathers at least half of them: 5.76 MB at
-        # SECTOR_PAIR_BYTES = 80
-        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 24
+        # in-sector pairs; at least half lie in gathered sectors (a skipped
+        # sine twin is as large as its cosine), which gather at least half
+        # their rows: 2.88 MB at SECTOR_PAIR_BYTES = 80
+        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 48
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
             assemble(w32, 1200)

@@ -16,6 +16,8 @@ from wente_index.basis import (
 )
 from wente_index.surface import ParameterError, lattice, potential_extrema
 
+from oracles import shell_waves
+
 TWO_PI = 2.0 * math.pi
 
 # Golden ordering for the first 13 eigenfunctions, as wave pairs (a, b)
@@ -74,6 +76,15 @@ class TestOrdering:
         basis = enumerate_basis(lattice(request.getfixturevalue(surface)), m)
         rows = np.stack([basis.wave_x, basis.wave_y, basis.sine]).astype("<i8")
         assert hashlib.sha256(rows.tobytes()).hexdigest() == ORDER_DIGESTS[surface, m]
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("m", [1, 7, 41, 85, 1013, 2113])
+    def test_closed_form_shells_match_the_shell_walk(self, parity, m):
+        shells = shells_holding(parity, m)
+        a, b = basis_mod._waves(parity, shells)
+        expected = shell_waves(parity, shells)
+        assert np.array_equal(a, expected[:, 0]) and np.array_equal(b, expected[:, 1])
+        assert a.dtype == b.dtype == expected.dtype
 
     def test_sub_basis_selects_positions(self, w32):
         basis = enumerate_basis(lattice(w32), 25)

@@ -15,7 +15,6 @@ from wente_index.bounds import (
     courant_bound,
     default_m,
     full_report,
-    greedy_subspace_search,
     potential_sandwich,
     subspace_bound,
 )
@@ -151,37 +150,6 @@ class TestSubspace:
     def test_invalid_index_lists(self, w32, indices, fast_cfg):
         with pytest.raises(ParameterError):
             subspace_bound(w32, indices, fast_cfg)
-
-
-class TestGreedySearch:
-    def test_matches_published_floor_w32(self, w32, fast_cfg):
-        _, implied = greedy_subspace_search(w32, 30, fast_cfg)
-        assert implied >= 8
-
-    def test_matches_published_floor_w87(self, fast_cfg):
-        p = catalog_surface(8, 7)
-        _, implied = greedy_subspace_search(p, 30, fast_cfg)
-        assert implied >= 8
-
-    def test_pool_of_one(self, w32, fast_cfg):
-        indices, implied = greedy_subspace_search(w32, 1, fast_cfg)
-        assert indices == (1,)
-        assert implied == 0
-
-    def test_deterministic(self, w43, fast_cfg):
-        first = greedy_subspace_search(w43, 20, fast_cfg)
-        second = greedy_subspace_search(w43, 20, fast_cfg)
-        assert first == second
-
-    def test_result_is_certified(self, w43, fast_cfg):
-        indices, implied = greedy_subspace_search(w43, 20, fast_cfg)
-        verdict = subspace_bound(w43, indices, fast_cfg)
-        assert verdict.negative_definite
-        assert verdict.implied_lower == implied
-
-    def test_pool_validation(self, w32):
-        with pytest.raises(ValueError):
-            greedy_subspace_search(w32, 0)
 
 
 class TestFullReport:

@@ -24,6 +24,7 @@ from wente_index.assembly import (
 from wente_index.basis import enumerate_basis
 from wente_index.bounds import default_m, full_report
 from wente_index.cli import main
+from wente_index.reference import REFERENCE_ESTIMATES
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import CATALOG, catalog_surface, lattice
 
@@ -31,7 +32,7 @@ from oracles import sector_positions
 
 CASES = [(3, 2, 1013), (4, 3, 1089), (7, 6, 1013), (13, 7, 181), (73, 72, 85)]
 IDS = [f"{ell}/{n}@{m}" for ell, n, m in CASES]
-# every catalogued surface at its default size, and the large-m sizes
+# every catalogued surface at its default size, the large-m sizes and the published table3 sizes
 FOLD_CASES = [(ell, n, default_m(catalog_surface(ell, n))) for ell, n, _ in CATALOG] + [
     (3, 2, 1013),
     (3, 2, 2113),
@@ -40,6 +41,9 @@ FOLD_CASES = [(ell, n, default_m(catalog_surface(ell, n))) for ell, n, _ in CATA
     (4, 3, 1089),
     (4, 3, 2025),
 ]
+FOLD_CASES += sorted(
+    {(*map(int, row.surface.split("/")), row.m) for row in REFERENCE_ESTIMATES} - set(FOLD_CASES)
+)
 FOLD_IDS = [f"{ell}/{n}@{m}" for ell, n, m in FOLD_CASES]
 
 
@@ -55,6 +59,16 @@ def _dense_gather(fld, basis):
         a[np.ix_(idx, idx)] = -(np.outer(norm, norm) * fld.area * value)
     a[np.diag_indices_from(a)] += basis.alpha
     return a
+
+
+def _functions(matrix):
+    """Functions the halves account for, each half weighed by the copies of its spectrum."""
+    return sum(int(c.sum()) * stack.shape[1] for stack, c in zip(matrix.stacks, matrix.copies))
+
+
+def _twinned(matrix):
+    """Functions of the sine twins, which the halves counted twice stand for."""
+    return sum(int(np.count_nonzero(c == 2)) * stack.shape[1] for stack, c in zip(matrix.stacks, matrix.copies))
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,7 +94,8 @@ def test_blocks_partition_the_positions(ell, n, m):
     sizes = [stack.shape[1] for stack in matrix.stacks]
     assert sizes == sorted(set(sizes))
     assert all(stack.shape[1:] == (k, k) for stack, k in zip(matrix.stacks, sizes))
-    assert sum(stack.shape[0] * stack.shape[1] for stack in matrix.stacks) == m
+    assert [len(c) for c in matrix.copies] == [len(stack) for stack in matrix.stacks]
+    assert _functions(matrix) == m
 
 
 @pytest.mark.parametrize("ell,n,m", CASES, ids=IDS)
@@ -152,7 +167,7 @@ def test_sector_blocks_are_their_own_mirror_images(ell, n, m):
 @pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
 def test_halves_hold_every_function_and_the_dense_spectrum(ell, n, m):
     matrix = _fold_case(ell, n, m)
-    assert sum(stack.shape[0] * stack.shape[1] for stack in matrix.stacks) == m
+    assert _functions(matrix) == m
     dense = np.linalg.eigvalsh(matrix.entries)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(eigen_symmetric(matrix).eigenvalues - dense)) <= 1e-13 * scale
@@ -180,6 +195,63 @@ def test_a_sector_open_under_the_mirror_stays_whole(ell, n, m, opened):
     assert (est.negative_count, est.uncertain_count) == (dense.negative_count, dense.uncertain_count)
 
 
+def _complex_twins(basis, n):
+    """(sine positions, cosine positions, S) of each complex-class sine sector; S is None when open.
+
+    Class c of wave_x mod 2n up to sign, neither 0 nor n; the sector is closed
+    when each sine's cosine (the next position) is in the basis, and then S
+    is +1 where wave_x = c mod 2n and -1 where it is -c.
+    """
+    twins = []
+    for pos in sector_positions(basis, n):
+        a = int(basis.wave_x[pos[0]])
+        c = min(a % (2 * n), -a % (2 * n))
+        if basis.sine[pos[0]] and c % n:
+            closed = pos[-1] + 1 < len(basis)
+            sign = np.where(basis.wave_x[pos] % (2 * n) == c, 1.0, -1.0) if closed else None
+            twins.append((pos, pos + 1 if closed else None, sign))
+    return twins
+
+
+@pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
+def test_complex_sine_sectors_are_sign_images_of_their_cosines(ell, n, m):
+    # one of w_i -+ w_j is off the lattice for two functions of a complex
+    # class, so a sine block is S (cosine block) S bit for bit and its
+    # spectrum is counted from the cosine's halves twice
+    matrix = _fold_case(ell, n, m)
+    basis, entries = matrix.basis, matrix.entries
+    doubled = 0
+    for sine, cosine, sign in _complex_twins(basis, n):
+        assert sign is not None
+        assert not np.any(basis.sine[cosine]) and np.array_equal(basis.wave_x[sine], basis.wave_x[cosine])
+        block = entries[np.ix_(sine, sine)]
+        image = sign[:, None] * entries[np.ix_(cosine, cosine)] * sign
+        assert np.array_equal(block, image)
+        assert np.array_equal(np.signbit(block), np.signbit(image))
+        doubled += len(cosine)
+    assert doubled > 0
+    assert _twinned(matrix) == doubled
+
+
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize("ell,n,m", [(3, 2, 100), (4, 3, 52), (7, 6, 52)])
+def test_a_sine_sector_without_all_its_cosines_is_solved_on_its_own(ell, n, m):
+    # an even m ends on a sine whose cosine is not in the basis; its sector
+    # has one function more than its cosine sector and counts only itself
+    matrix = _fold_case(ell, n, m)
+    twins = _complex_twins(matrix.basis, n)
+    (open_pos,) = [sine for sine, cosine, _ in twins if cosine is None]
+    assert open_pos[-1] == m - 1
+    closed = sum(len(sine) for sine, cosine, _ in twins if cosine is not None)
+    assert _twinned(matrix) == closed
+    assert _functions(matrix) == m
+    entries = matrix.entries
+    dense = np.linalg.eigvalsh(entries)
+    est, whole = eigen_symmetric(matrix), eigen_symmetric(entries)
+    assert np.max(np.abs(est.eigenvalues - dense)) <= 1e-13 * np.max(np.abs(dense))
+    assert (est.negative_count, est.uncertain_count) == (whole.negative_count, whole.uncertain_count)
+
+
 def _small_memory(monkeypatch, nbytes):
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: nbytes)
     monkeypatch.setattr(basis_mod, "_physical_memory", lambda: nbytes)
@@ -192,15 +264,16 @@ def test_guard_admits_3_2_at_2113_in_64_mib(monkeypatch):
 
 
 def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
-    # 4325 functions in at most 12 sectors gather at least 4325^2 / 24
-    # pairs (59 MiB at SECTOR_PAIR_BYTES = 80); the 12 sectors of 3/2
-    # gather 908208 (69 MiB): the exact count refuses, after enumerating
+    # 5305 functions in at most 12 sectors gather at least 5305^2 / 48
+    # pairs (45 MiB at SECTOR_PAIR_BYTES = 80); the 12 sectors of 3/2
+    # gather 913809 (70 MiB, the sine twins excluded): the exact count
+    # refuses, after enumerating
     _small_memory(monkeypatch, 64 * 2**20)
     p = catalog_surface(3, 2)
-    largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 4325), 2))
+    largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 5305), 2))
     with pytest.raises(SystemExit) as info:
-        main(["report", "--surface", "3/2", "--m", "4325"])
+        main(["report", "--surface", "3/2", "--m", "5305"])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: m = 4325 needs about")
+    assert err.startswith("error: m = 5305 needs about")
     assert f"the largest has {largest} functions" in err
