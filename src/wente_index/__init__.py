@@ -23,7 +23,6 @@ from .surface import (
 from .basis import (
     Basis,
     enumerate_basis,
-    shell_complete_sizes,
     sorted_alpha_stream,
 )
 from .assembly import (
@@ -65,7 +64,6 @@ __all__ = [
     "potential_extrema",
     "Basis",
     "enumerate_basis",
-    "shell_complete_sizes",
     "sorted_alpha_stream",
     "AssemblyConfig",
     "GalerkinMatrix",

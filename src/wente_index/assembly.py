@@ -345,7 +345,6 @@ class GalerkinMatrix:
     copies: tuple[np.ndarray, ...]  # copies[s][h] in {1, 2}: how often A_m holds the spectrum of stacks[s][h]
     basis: Basis
     fld: PotentialField
-    provenance: dict
 
     @property
     def entries(self) -> np.ndarray:
@@ -395,9 +394,7 @@ def assemble(
     if fld is None:
         fld = potential_field(p, basis, cfg or AssemblyConfig())
     stacks, copies = _half_stacks(fld, basis, plan)
-    provenance = {"surface": p.label, "H": p.H, "theta_degrees": p.theta_degrees, "m": m}
-    provenance |= {"nx": fld.nx, "ny": fld.ny}
-    return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld, provenance=provenance)
+    return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld)
 
 
 # --- potential-field cache -------------------------------------------------

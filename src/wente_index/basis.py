@@ -46,7 +46,6 @@ __all__ = [
     "sorted_alpha_stream",
     "count_alpha_below",
     "shell_complete_size",
-    "shell_complete_sizes",
     "shells_holding",
     "is_shell_complete",
 ]
@@ -109,13 +108,8 @@ def shells_holding(parity: str, m: int) -> int:
     return shells
 
 
-def shell_complete_sizes(parity: str, max_size: int) -> list[int]:
-    """All shell-complete sizes up to max_size, ascending."""
-    return [shell_complete_size(parity, s) for s in range(1, shells_holding(parity, max_size + 1))]
-
-
 def is_shell_complete(parity: str, m: int) -> bool:
-    return m in shell_complete_sizes(parity, m)
+    return shell_complete_size(parity, shells_holding(parity, m)) == m
 
 
 def _waves(parity: str, shells: int) -> tuple[np.ndarray, np.ndarray]:

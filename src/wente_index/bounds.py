@@ -178,13 +178,12 @@ def full_report(
     m: int | None = None,
     cfg: AssemblyConfig | None = None,
     zero_tol: float | None = None,
-    subspace_indices: Sequence[int] | None = None,
 ) -> IndexReport:
     """Run every bound plus the Galerkin pipeline and cross-check consistency.
 
-    subspace_indices defaults to the shipped certified set for the surface
-    when one exists.  Inconsistent bounds raise ConsistencyError: they can
-    only come from a numerical fault, never from the mathematics.
+    The subspace check uses the shipped certified set for the surface when
+    one exists.  Inconsistent bounds raise ConsistencyError: they can only
+    come from a numerical fault, never from the mathematics.
     """
     m = default_m(p) if m is None else m
     cfg = cfg or AssemblyConfig()
@@ -197,8 +196,7 @@ def full_report(
             f"{sandwich.near_boundary} lattice eigenvalue(s) within {BOUNDARY_TOL} of a potential cutoff"
         )
 
-    if subspace_indices is None:
-        subspace_indices = SUBSPACE_SETS.get(p.label)
+    subspace_indices = SUBSPACE_SETS.get(p.label)
     # One matrix serves the Galerkin count and, when the selection lies
     # within the first m functions, the subspace check.
     matrix = assemble(p, m, cfg)

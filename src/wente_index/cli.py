@@ -9,8 +9,11 @@ Subcommands:
     subspace  negative-definiteness verdict + matrix dump for a basis choice
     cache     inspect or clear cached potential coefficient tables
 
-Each subcommand accepts only the options it reads.  Reports embed their
-full run configuration and a schema version; identical configurations
+Each subcommand accepts only the options it reads; _COMMANDS lists them.
+Every payload carries schema_version and version.  Its config echoes the
+command's --surface, -H, --format and --cache-dir, plus --m, --grid and
+--zero-tol for report and table3 and the index list for subspace; it does
+not echo --theta, subspace --grid or --jobs.  Identical configurations
 produce byte-identical output (no timestamps, sorted keys), whether or not
 the coefficient cache was warm.  The cache directory comes from --cache-dir
 or the WENTE_CACHE_DIR variable.
@@ -43,7 +46,7 @@ from .bounds import (
     subspace_bound,
 )
 from .reference import REFERENCE_ESTIMATES, REFERENCE_GEOMETRY, estimate_row
-from .surface import CATALOG, ParameterError, build_surface, catalog_surface, potential_extrema
+from .surface import CATALOG, ParameterError, build_surface, potential_extrema
 
 SCHEMA_VERSION = 4
 ENV_CACHE_DIR = "WENTE_CACHE_DIR"
@@ -98,12 +101,6 @@ def _selected_surfaces(args) -> list[tuple[int, int]]:
     return [_parse_surface(args.surface)]
 
 
-def _build(args, ell: int, n: int):
-    if args.theta is not None:
-        return build_surface(ell, n, args.H, args.theta)
-    return catalog_surface(ell, n, args.H)
-
-
 def _run_config(args, **extra) -> dict:
     """The command's own options among surface, H, format and cache_dir, plus extra."""
     keys = ("surface", "H", "format", "cache_dir")
@@ -126,6 +123,7 @@ def _fan_out(jobs: int, one, items: list) -> list:
 
 
 def _emit(args, payload: dict, text_renderer) -> None:
+    payload = {"schema_version": SCHEMA_VERSION, "version": __version__, **payload}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
@@ -173,7 +171,7 @@ def cmd_report(args) -> int:
 
     def one(label):
         ell, n = label
-        p = _build(args, ell, n)
+        p = build_surface(ell, n, args.H, args.theta)
         m = args.m
         if m is None:
             try:
@@ -184,8 +182,6 @@ def cmd_report(args) -> int:
 
     reports = _fan_out(args.jobs, one, surfaces)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
         "config": _run_config(args, m=args.m, grid=args.grid, zero_tol=args.zero_tol),
         "reports": reports,
     }
@@ -238,11 +234,9 @@ def _bound_values(p) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    surfaces = [_build(args, ell, n) for ell, n in _selected_surfaces(args)]
+    surfaces = [build_surface(ell, n, args.H, args.theta) for ell, n in _selected_surfaces(args)]
     rows = [{"surface": p.label, **_bound_values(p)} for p in surfaces]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
         "config": _run_config(args),
         "rows": rows,
     }
@@ -278,18 +272,8 @@ def cmd_table2(args) -> int:
             "sandwich_lower": computed["sandwich_lower"] == ref.sandwich_lower,
             "sandwich_upper": computed["sandwich_upper"] == ref.sandwich_upper,
         }
-        rows.append(
-            {
-                "surface": ref.surface,
-                "computed": computed,
-                "reference": ref._asdict(),
-                "pass": checks,
-                "all_pass": all(checks.values()),
-            }
-        )
+        rows.append(_diff_row(ref.surface, computed, ref._asdict(), checks))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
         "config": _run_config(args),
         "rows": rows,
         "all_pass": all(r["all_pass"] for r in rows),
@@ -298,19 +282,33 @@ def cmd_table2(args) -> int:
     return 0
 
 
-def _render_diff_text(payload: dict) -> str:
+def _diff_row(surface: str, computed: dict, reference: dict, checks: dict) -> dict:
+    """One table row: both sides, the per-cell verdicts and the row verdict."""
+    return {
+        "surface": surface,
+        "computed": computed,
+        "reference": reference,
+        "pass": checks,
+        "all_pass": all(checks.values()),
+    }
+
+
+def _diff_listing(payload: dict, headline) -> str:
+    """Each row's headline with ok or DIFF, then its failed cells; the table verdict last."""
     lines = []
     for r in payload["rows"]:
-        status = "ok" if r["all_pass"] else "DIFF"
-        lines.append(f"{r['surface']:>8}  {status}")
-        if not r["all_pass"]:
-            for key, ok in r["pass"].items():
-                if not ok:
-                    computed = r["computed"][key]
-                    ref = r["reference"][key]
-                    lines.append(f"          {key}: computed={computed!r} reference={ref!r}")
+        lines.append(f"{headline(r)}  {'ok' if r['all_pass'] else 'DIFF'}")
+        lines += [
+            f"          {key}: computed={r['computed'][key]!r} reference={r['reference'][key]!r}"
+            for key, ok in r["pass"].items()
+            if not ok
+        ]
     lines.append("all rows pass" if payload["all_pass"] else "some cells differ")
     return "\n".join(lines)
+
+
+def _render_diff_text(payload: dict) -> str:
+    return _diff_listing(payload, lambda r: f"{r['surface']:>8}")
 
 
 # --- table3 ----------------------------------------------------------------
@@ -345,24 +343,17 @@ def cmd_table3(args) -> int:
         }
         if ref.subspace_lower is not None:
             checks["subspace_lower"] = report.subspace_lower == ref.subspace_lower
-        return {
-            "surface": ref.surface,
-            "computed": report.to_dict(),
-            "reference": {
-                "subspace_lower": ref.subspace_lower,
-                "galerkin_k": ref.galerkin_k,
-                "m": ref.m,
-                "negative_range": list(ref.negative_range),
-                "first_positive_six": list(ref.first_positive_six),
-            },
-            "pass": checks,
-            "all_pass": all(checks.values()),
+        reference = {
+            "subspace_lower": ref.subspace_lower,
+            "galerkin_k": ref.galerkin_k,
+            "m": ref.m,
+            "negative_range": list(ref.negative_range),
+            "first_positive_six": list(ref.first_positive_six),
         }
+        return _diff_row(ref.surface, report.to_dict(), reference, checks)
 
     rows = _fan_out(args.jobs, one, refs)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
         "config": _run_config(args, m=args.m, grid=args.grid, zero_tol=args.zero_tol),
         "rows": rows,
         "all_pass": all(r["all_pass"] for r in rows),
@@ -372,30 +363,22 @@ def cmd_table3(args) -> int:
 
 
 def _render_table3_text(payload: dict) -> str:
-    lines = []
-    for r in payload["rows"]:
+    def headline(r):
         c = r["computed"]
-        status = "ok" if r["all_pass"] else "DIFF"
-        lines.append(
+        return (
             f"{r['surface']:>8}  m={c['m_used']:<4d} k={c['galerkin_k']:<4d} "
             f"neg=({_fmt6(c['negative_range'][0])}, {_fmt6(c['negative_range'][1])}) "
-            f"six=({_fmt6(c['first_positive_six'][0])}, {_fmt6(c['first_positive_six'][1])})  {status}"
+            f"six=({_fmt6(c['first_positive_six'][0])}, {_fmt6(c['first_positive_six'][1])})"
         )
-        if not r["all_pass"]:
-            for key, ok in r["pass"].items():
-                if not ok:
-                    lines.append(
-                        f"          {key}: computed={r['computed'][key]!r} reference={r['reference'][key]!r}"
-                    )
-    lines.append("all rows pass" if payload["all_pass"] else "some cells differ")
-    return "\n".join(lines)
+
+    return _diff_listing(payload, headline)
 
 
 # --- subspace ----------------------------------------------------------------
 
 def cmd_subspace(args) -> int:
     ell, n = _parse_surface(args.surface)
-    p = _build(args, ell, n)
+    p = build_surface(ell, n, args.H, args.theta)
     if args.indices == "published":
         if p.label not in SUBSPACE_SETS:
             raise UsageError(f"no published index set for {p.label}")
@@ -407,8 +390,6 @@ def cmd_subspace(args) -> int:
             raise UsageError(f"bad index list {args.indices!r}") from exc
     verdict = subspace_bound(p, indices, _assembly_config(args))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
         "config": _run_config(args, indices=list(indices)),
         "surface": p.label,
         "indices": list(indices),
@@ -469,8 +450,6 @@ def cmd_cache(args) -> int:
                 }
             )
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
             "cache_dir": str(directory),
             "rows": rows,
         }
@@ -492,8 +471,7 @@ def _render_cache_text(payload: dict) -> str:
 
 # --- parser ------------------------------------------------------------------
 
-# Every option a subcommand can take, spelled once; build_parser gives each
-# subcommand exactly the options it reads.
+# Every option a subcommand can take, spelled once.
 _OPTIONS = {
     "surface": (("--surface",), dict(default="all", help="surface label l/n, or 'all'")),
     "H": (("-H", "--mean-curvature"), dict(dest="H", type=float, default=0.5)),
@@ -505,13 +483,22 @@ _OPTIONS = {
                                help=f"N or NXxNY samples per period cell of V (default {DEFAULT_GRID})")),
     "m": (("--m",), dict(type=_positive_int, default=None, help="truncation size (default: reference size)")),
     "zero_tol": (("--zero-tol",), dict(type=_zero_tol, default=None)),
+    "indices": (("--indices",), dict(default="published", help="comma list of 1-based indices, or 'published'")),
+    "action": (("action",), dict(choices=("inspect", "clear"))),
 }
 
-
-def _add_options(sub, *names: str) -> None:
-    for name in names:
-        flags, kwargs = _OPTIONS[name]
-        sub.add_argument(*flags, **kwargs)
+# Every subcommand, spelled once: name -> (handler, help, its options in help order).
+_COMMANDS = {
+    "report": (cmd_report, "full report per surface",
+               ("surface", "H", "theta", "format", "cache_dir", "jobs", "grid", "m", "zero_tol")),
+    "bounds": (cmd_bounds, "analytic bounds only", ("surface", "H", "theta", "format")),
+    "table2": (cmd_table2, "diff geometry and bounds against reference", ("H", "format")),
+    "table3": (cmd_table3, "diff Galerkin estimates against reference",
+               ("surface", "H", "format", "cache_dir", "jobs", "grid", "m", "zero_tol")),
+    "subspace": (cmd_subspace, "negative definiteness of a basis selection",
+                 ("surface", "H", "theta", "format", "cache_dir", "grid", "indices")),
+    "cache": (cmd_cache, "inspect or clear the coefficient cache", ("action", "format", "cache_dir")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,41 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_options(
-        subs.add_parser("report", help="full report per surface"),
-        "surface", "H", "theta", "format", "cache_dir", "jobs", "grid", "m", "zero_tol",
-    )
-    _add_options(subs.add_parser("bounds", help="analytic bounds only"), "surface", "H", "theta", "format")
-    _add_options(subs.add_parser("table2", help="diff geometry and bounds against reference"), "H", "format")
-    _add_options(
-        subs.add_parser("table3", help="diff Galerkin estimates against reference"),
-        "surface", "H", "format", "cache_dir", "jobs", "grid", "m", "zero_tol",
-    )
-    sub = subs.add_parser("subspace", help="negative definiteness of a basis selection")
-    _add_options(sub, "surface", "H", "theta", "format", "cache_dir", "grid")
-    sub.add_argument("--indices", default="published", help="comma list of 1-based indices, or 'published'")
-    sub = subs.add_parser("cache", help="inspect or clear the coefficient cache")
-    sub.add_argument("action", choices=("inspect", "clear"))
-    _add_options(sub, "format", "cache_dir")
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for option in options:
+            flags, kwargs = _OPTIONS[option]
+            sub.add_argument(*flags, **kwargs)
     return parser
-
-
-_COMMANDS = {
-    "report": cmd_report,
-    "bounds": cmd_bounds,
-    "table2": cmd_table2,
-    "table3": cmd_table3,
-    "subspace": cmd_subspace,
-    "cache": cmd_cache,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (UsageError, ParameterError, NyquistError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except (ConsistencyError, ValueError) as exc:

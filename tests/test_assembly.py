@@ -347,12 +347,6 @@ class TestAssemble:
         with pytest.raises(ParameterError, match="m = 1000000000 needs about"):
             assemble(w32, 10**9)
 
-    def test_provenance_recorded(self, w32, fast_cfg):
-        mat = assemble(w32, 13, fast_cfg)
-        assert mat.provenance["surface"] == "3/2"
-        assert "method" not in mat.provenance
-        assert mat.provenance["nx"] == 256
-
     def test_potential_field_covers_assembly(self, w32, w43):
         # the field sampled for a basis has exactly the extent its products reach
         for p, m in ((w32, 41), (w43, 49)):

@@ -10,7 +10,6 @@ from wente_index.basis import (
     enumerate_basis,
     is_shell_complete,
     shell_complete_size,
-    shell_complete_sizes,
     shells_holding,
     sorted_alpha_stream,
 )
@@ -168,10 +167,14 @@ class TestOrthonormality:
 
 class TestShellSizes:
     def test_odd_sizes(self):
-        assert shell_complete_sizes("odd", 181) == [1, 5, 13, 25, 41, 61, 85, 113, 145, 181]
+        sizes = [1, 5, 13, 25, 41, 61, 85, 113, 145, 181]
+        assert [shell_complete_size("odd", s) for s in range(1, 11)] == sizes
+        assert [m for m in range(182) if is_shell_complete("odd", m)] == sizes
 
     def test_even_sizes(self):
-        assert shell_complete_sizes("even", 145) == [1, 9, 25, 49, 81, 121]
+        sizes = [1, 9, 25, 49, 81, 121]
+        assert [shell_complete_size("even", s) for s in range(1, 7)] == sizes
+        assert [m for m in range(146) if is_shell_complete("even", m)] == sizes
 
     def test_is_shell_complete(self):
         assert is_shell_complete("odd", 13)

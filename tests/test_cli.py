@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,30 @@ class TestTables:
         assert info.value.code == 2
         assert "no reference row for 21/20; table3 has rows for 3/2, 4/3" in capsys.readouterr().err
 
+    def test_table2_text_lists_failed_cells(self, capsys):
+        # at H = 2 the potential is four times that of H = 1/2, so V_min = 8
+        code, out, _ = run_cli(capsys, "table2", "-H", "2", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["     3/2  DIFF", "          x_period: computed=1.2778039015931815 reference=2.56"]
+        assert "          v_min: computed=8.0 reference=2.0" in lines
+        assert lines[-1] == "some cells differ"
+
+    def test_table3_text_lists_failed_cells(self, capsys):
+        code, out, _ = run_cli(capsys, "table3", "--surface", "8/7", "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("     8/7  m=81   k=34   neg=(") and lines[0].endswith("  DIFF")
+        assert lines[1] == "          galerkin_k: computed=34 reference=35"
+        assert lines[-1] == "some cells differ"
+
+    def test_table3_text_passing_row(self, capsys):
+        code, out, _ = run_cli(capsys, "table3", "--surface", "4/3", "--format", "text")
+        assert code == 0
+        first, verdict = out.splitlines()
+        assert first.startswith("     4/3  m=81   k=10   ") and first.endswith(")  ok")
+        assert verdict == "all rows pass"
+
     def test_table3_single_row(self, capsys):
         code, out, _ = run_cli(capsys, "table3", "--surface", "4/3", "--format", "json")
         payload = json.loads(out)
@@ -363,3 +391,50 @@ def test_option_a_command_does_not_read_is_rejected(capsys, command, option, val
     assert info.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
+
+
+def test_every_payload_carries_the_envelope(capsys, tmp_path):
+    argvs = [
+        ["report", "--surface", "4/3", "--m", "25"],
+        ["bounds", "--surface", "3/2"],
+        ["table2"],
+        ["table3", "--surface", "4/3", "--m", "25"],
+        ["subspace", "--surface", "3/2", "--indices", "1,2,3"],
+        ["cache", "inspect", "--cache-dir", str(tmp_path)],
+    ]
+    assert sorted(argv[0] for argv in argvs) == sorted(cli_mod._COMMANDS)
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["schema_version"] == 4, argv
+        assert payload["version"] == cli_mod.__version__, argv
+
+
+@pytest.mark.parametrize("argv", [["subspace", "--surface", "3/2", "--indices", "1,2,3"], ["cache", "inspect"]])
+def test_single_object_csv_carries_the_envelope(capsys, tmp_path, argv):
+    # a payload without rows is one CSV row holding every field; row tables
+    # print their rows only
+    code, out, _ = run_cli(capsys, *argv, "--cache-dir", str(tmp_path), "--format", "csv")
+    assert code == 0
+    (fields,) = csv.DictReader(io.StringIO(out))
+    assert fields["schema_version"] == "4"
+    assert fields["version"] == cli_mod.__version__
+
+
+def _readme_option_table() -> dict[str, list[str]]:
+    """command -> the backquoted entries of its row in README's option table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` +\| (.+) \|$", text, re.M)
+    return {command: re.findall(r"`([^`]+)`", cell) for command, cell in rows}
+
+
+def test_readme_option_table_matches_the_parser():
+    expected = {}
+    for command, (_, _, options) in cli_mod._COMMANDS.items():
+        expected[command] = []
+        for option in options:
+            flags, kwargs = cli_mod._OPTIONS[option]
+            # an option by its first flag, a positional by its choices
+            expected[command] += [flags[0]] if flags[0].startswith("-") else list(kwargs["choices"])
+    assert _readme_option_table() == expected
