@@ -6,7 +6,7 @@ stability operator in the Laplacian eigenbasis of the conformal lattice, and
 combines analytic bounds with negative-eigenvalue counts into index reports.
 """
 
-from .elliptic import EllipticModulus, complete_K, jacobi_cn
+from .elliptic import complete_K, jacobi_cn
 from .surface import (
     CATALOG,
     THETA_BAR_DEGREES,
@@ -16,7 +16,6 @@ from .surface import (
     build_surface,
     catalog_surface,
     lattice,
-    load_catalog,
     potential,
     potential_extrema,
 )
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "EllipticModulus",
     "complete_K",
     "jacobi_cn",
     "CATALOG",
@@ -59,7 +57,6 @@ __all__ = [
     "build_surface",
     "catalog_surface",
     "lattice",
-    "load_catalog",
     "potential",
     "potential_extrema",
     "Basis",

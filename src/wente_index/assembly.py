@@ -111,21 +111,6 @@ class PotentialField:
         """Area of the torus, the domain every b_ij integrates over."""
         return abs(lattice(self.surface).cell_area)
 
-    def cos_coefficient(self, wave_x, wave_y) -> np.ndarray:
-        """(1/area) integral of V cos(2 pi (wave_x x / (n x_period) + wave_y y / y_period)).
-
-        Elementwise over integer arrays (or scalars) of equal shape.  Wave
-        integers are measured against (n x_period, y_period) as in the basis
-        enumeration, so the cell frequencies (P, Q) sit at the waves
-        (2n P, 2 Q); every other coefficient is structurally zero and
-        returned as exact 0.0.  An on-lattice coefficient beyond the stored
-        table raises CoefficientRangeError.
-        """
-        a, b = np.asarray(wave_x, dtype=np.int64), np.asarray(wave_y, dtype=np.int64)
-        reach_x, reach_y = int(np.abs(a).max()), int(np.abs(b).max())
-        width = 2 * reach_y + 1
-        return _read(self, _signed_table(self, reach_x, reach_y), width, (a + reach_x) * width + b + reach_y)
-
 
 def _signed_table(fld: PotentialField, reach_x: int, reach_y: int) -> np.ndarray:
     """Coefficients at every signed wave |wave_x| <= reach_x, |wave_y| <= reach_y, row-major and flat.

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -107,10 +108,14 @@ def _run_config(args, **extra) -> dict:
     return {k: getattr(args, k) for k in keys if hasattr(args, k)} | extra
 
 
+def _cache_dir(args) -> Path | None:
+    target = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
+    return Path(target) if target else None
+
+
 def _assembly_config(args) -> AssemblyConfig:
     nx, ny = args.grid or (DEFAULT_GRID, DEFAULT_GRID)
-    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE_DIR) or None
-    return AssemblyConfig(nx=nx, ny=ny, cache_dir=cache_dir)
+    return AssemblyConfig(nx=nx, ny=ny, cache_dir=_cache_dir(args))
 
 
 def _fan_out(jobs: int, one, items: list) -> list:
@@ -262,7 +267,7 @@ def cmd_table2(args) -> int:
     rows = []
     for ref in REFERENCE_GEOMETRY:
         ell, n = _parse_surface(ref.surface)
-        computed = _bound_values(build_surface(ell, n, args.H, ref.theta_degrees))
+        computed = _bound_values(build_surface(ell, n, args.H))
         checks = {
             "x_period": abs(computed["x_period"] - ref.x_period) <= TOL_PERIOD,
             "y_period": abs(computed["y_period"] - ref.y_period) <= ref.y_tolerance,
@@ -418,15 +423,10 @@ def _render_subspace_text(payload: dict) -> str:
 
 # --- cache -------------------------------------------------------------------
 
-def _cache_dir(args) -> Path:
-    target = args.cache_dir or os.environ.get(ENV_CACHE_DIR)
-    if not target:
-        raise UsageError(f"no cache directory; pass --cache-dir or set {ENV_CACHE_DIR}")
-    return Path(target)
-
-
 def cmd_cache(args) -> int:
     directory = _cache_dir(args)
+    if directory is None:
+        raise UsageError(f"no cache directory; pass --cache-dir or set {ENV_CACHE_DIR}")
     entries = sorted(directory.glob("*.wntpot")) if directory.exists() else []
     if args.action == "inspect":
         rows = []
@@ -517,16 +517,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; each distinct warning it raised goes to stderr as one line, before any error."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command][0](args)
-    except (UsageError, ParameterError, NyquistError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except (ConsistencyError, ValueError) as exc:
-        # a numerical fault; LinAlgError and CoefficientRangeError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = _COMMANDS[args.command][0](args), None
+        except (UsageError, ParameterError, NyquistError) as exc:
+            code, error = 2, exc
+        except (ConsistencyError, ValueError) as exc:
+            # a numerical fault; LinAlgError and CoefficientRangeError are ValueErrors
+            code, error = 1, exc
+    for record in caught:
+        print(f"warning: {record.message}", file=sys.stderr)
+    if code == 2:
+        parser.exit(2, f"error: {error}\n")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

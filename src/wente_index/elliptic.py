@@ -10,11 +10,10 @@ lines, and cn enters the potential of the stability operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["EllipticModulus", "complete_K", "jacobi_cn"]
+__all__ = ["complete_K", "jacobi_cn"]
 
 # AGM stalls at ~1 ulp, so the stopping test must sit at relative machine
 # epsilon; the iteration cap is a safety net, never reached in practice.
@@ -22,40 +21,15 @@ _AGM_RTOL = 4.0 * np.finfo(float).eps
 _AGM_MAX_ITER = 64
 
 
-@dataclass(frozen=True)
-class EllipticModulus:
-    """Modulus k of an elliptic integral, with the parameter m = k^2 cached.
-
-    k is stored exactly as given (e.g. sin of an ingested angle) and never
-    re-rounded.
-    """
-
-    k: float
-    m: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.k < 1.0):
-            raise ValueError(f"modulus must satisfy 0 <= k < 1, got {self.k}")
-        object.__setattr__(self, "m", self.k * self.k)
-
-    @classmethod
-    def from_degrees(cls, theta_degrees: float) -> "EllipticModulus":
-        """Modulus k = sin(theta) for an angle given in degrees."""
-        return cls(math.sin(math.radians(theta_degrees)))
-
-    @property
-    def complement(self) -> float:
-        """Complementary modulus k' = sqrt(1 - k^2)."""
-        return math.sqrt(1.0 - self.m)
+def _modulus(k: float) -> float:
+    """k as a float; ValueError unless 0 <= k < 1, which NaN fails too."""
+    k = float(k)
+    if not (0.0 <= k < 1.0):
+        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
+    return k
 
 
-def _as_modulus(k: "EllipticModulus | float") -> EllipticModulus:
-    if isinstance(k, EllipticModulus):
-        return k
-    return EllipticModulus(float(k))
-
-
-def complete_K(k: "EllipticModulus | float") -> float:
+def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind K(k) via the AGM.
 
     K(k) = pi / (2 * agm(1, k')) with k' the complementary modulus.
@@ -63,8 +37,8 @@ def complete_K(k: "EllipticModulus | float") -> float:
 
     Raises ValueError for k outside [0, 1).
     """
-    mod = _as_modulus(k)
-    a, b = 1.0, mod.complement
+    k = _modulus(k)
+    a, b = 1.0, math.sqrt(1.0 - k * k)
     for _ in range(_AGM_MAX_ITER):
         if abs(a - b) <= _AGM_RTOL * a:
             break
@@ -87,28 +61,28 @@ def _agm_scale(k: float) -> tuple[list[float], list[float]]:
     return a, c
 
 
-def jacobi_cn(u, k: "EllipticModulus | float"):
+def jacobi_cn(u, k: float):
     """Jacobi elliptic cn(u; k), vectorized over u.
 
     The argument is folded by evenness and the 4K period before the AGM
     phase recursion runs, so accuracy is uniform in u.  Scalar input gives
     a scalar back; array input gives an array of the same shape.
     """
-    mod = _as_modulus(k)
+    k = _modulus(k)
     u_arr = np.asarray(u, dtype=float)
     scalar = u_arr.ndim == 0
 
-    if mod.k == 0.0:
+    if k == 0.0:
         out = np.cos(u_arr)
         return float(out) if scalar else out
 
-    big_k = complete_K(mod)
+    big_k = complete_K(k)
     # cn is even and 4K-periodic; fold into [0, 2K] (cn(4K - v) = cn(v)).
     v = np.abs(u_arr)
     v = np.mod(v, 4.0 * big_k)
     v = np.where(v > 2.0 * big_k, 4.0 * big_k - v, v)
 
-    a, c = _agm_scale(mod.k)
+    a, c = _agm_scale(k)
     n_steps = len(a) - 1
     phi = (2.0 ** n_steps) * a[n_steps] * v
     for n in range(n_steps, 0, -1):

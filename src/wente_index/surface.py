@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .elliptic import EllipticModulus, complete_K, jacobi_cn
+from .elliptic import complete_K, jacobi_cn
+from .reference import REFERENCE_GEOMETRY
 
 __all__ = [
     "THETA_BAR_DEGREES",
@@ -35,8 +35,6 @@ __all__ = [
     "Lattice",
     "build_surface",
     "catalog_surface",
-    "catalog_theta",
-    "load_catalog",
     "potential",
     "potential_extrema",
     "lattice",
@@ -44,6 +42,15 @@ __all__ = [
 
 THETA_BAR_DEGREES = 65.354955354
 THETA_MAX_DEGREES = 24.645044646  # theta + thetabar must stay below 90 degrees
+
+# Rotational-period angles theta (degrees) for the 19 catalogued surfaces, as
+# (l, n, theta) read from the reference geometry table, their only source.
+# theta is ingested data: the period problem that determines it is solved
+# upstream of this library and known to four decimals.
+CATALOG: tuple[tuple[int, int, float], ...] = tuple(
+    (*map(int, row.surface.split("/")), row.theta_degrees) for row in REFERENCE_GEOMETRY
+)
+
 
 class ParameterError(ValueError):
     """Raised for input outside the admissible range."""
@@ -57,9 +64,8 @@ class SurfaceParams:
     n: int
     H: float
     theta_degrees: float
-    theta_bar_degrees: float
-    k: EllipticModulus
-    k_bar: EllipticModulus
+    k: float
+    k_bar: float
     gamma: float
     gamma_bar: float
     alpha: float
@@ -108,14 +114,16 @@ def build_surface(ell: int, n: int, H: float = 0.5, theta_degrees: float | None 
     """Construct SurfaceParams for W_{l/n}.
 
     theta_degrees defaults to the catalogued value for (l, n); an explicit
-    value lets callers study surfaces outside the shipped catalog.  Angles
-    are converted to radians exactly once, here.
+    value lets callers study surfaces outside the catalog.  Angles are
+    converted to radians exactly once, here.
     """
     _validate_label(ell, n)
     if not (math.isfinite(H) and H > 0.0):
         raise ParameterError(f"mean curvature must be positive and finite, got {H}")
     if theta_degrees is None:
-        theta_degrees = catalog_theta(ell, n)
+        theta_degrees = {(row_ell, row_n): theta for row_ell, row_n, theta in CATALOG}.get((ell, n))
+    if theta_degrees is None:
+        raise ParameterError(f"{ell}/{n} is not in the catalog and no theta was given")
     if not (0.0 < theta_degrees < THETA_MAX_DEGREES):
         raise ParameterError(
             f"theta must lie in (0, {THETA_MAX_DEGREES}) degrees, got {theta_degrees}"
@@ -123,8 +131,8 @@ def build_surface(ell: int, n: int, H: float = 0.5, theta_degrees: float | None 
 
     th = math.radians(theta_degrees)
     thb = math.radians(THETA_BAR_DEGREES)
-    k = EllipticModulus(math.sin(th))
-    k_bar = EllipticModulus(math.sin(thb))
+    k = math.sin(th)
+    k_bar = math.sin(thb)
     gamma = math.sqrt(math.tan(th))
     gamma_bar = math.sqrt(math.tan(thb))
     denom = math.sin(2.0 * (th + thb))
@@ -142,7 +150,6 @@ def build_surface(ell: int, n: int, H: float = 0.5, theta_degrees: float | None 
         n=n,
         H=H,
         theta_degrees=theta_degrees,
-        theta_bar_degrees=THETA_BAR_DEGREES,
         k=k,
         k_bar=k_bar,
         gamma=gamma,
@@ -154,43 +161,9 @@ def build_surface(ell: int, n: int, H: float = 0.5, theta_degrees: float | None 
     )
 
 
-def catalog_theta(ell: int, n: int) -> float:
-    _validate_label(ell, n)
-    for row_ell, row_n, theta in CATALOG:
-        if (row_ell, row_n) == (ell, n):
-            return theta
-    raise ParameterError(f"{ell}/{n} is not in the catalog and no theta was given")
-
-
 def catalog_surface(ell: int, n: int, H: float = 0.5) -> SurfaceParams:
     """Build a catalogued surface by its label."""
-    return build_surface(ell, n, H, catalog_theta(ell, n))
-
-
-def load_catalog(path: "str | Path") -> tuple[tuple[int, int, float], ...]:
-    """Read a catalog file: one 'l n theta_degrees' triple per line.
-
-    Blank lines and '#' comments are ignored, so the shipped file can be
-    copied and extended by hand.
-    """
-    rows = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParameterError(f"bad catalog line: {raw!r}")
-        ell, n, theta = int(parts[0]), int(parts[1]), float(parts[2])
-        _validate_label(ell, n)
-        rows.append((ell, n, theta))
-    return tuple(rows)
-
-
-# Rotational-period angles theta (degrees) for the 19 catalogued surfaces.
-# theta is ingested data: the period problem that determines it is solved
-# upstream of this library and known to four decimals.
-CATALOG: tuple[tuple[int, int, float], ...] = load_catalog(Path(__file__).with_name("data") / "catalog.txt")
+    return build_surface(ell, n, H)
 
 
 def potential(p: SurfaceParams, x, y):
@@ -202,20 +175,16 @@ def potential(p: SurfaceParams, x, y):
     f = p.gamma * jacobi_cn(np.asarray(x, dtype=float) * p.alpha, p.k)
     g = p.gamma_bar * jacobi_cn(np.asarray(y, dtype=float) * p.alpha_bar, p.k_bar)
     t = np.asarray(f * g)
-    out = 4.0 * p.H * np.cosh(4.0 * np.arctanh(t))
-    return float(out) if out.ndim == 0 else out
-
-
-def potential_grid(p: SurfaceParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """V sampled on the tensor grid x (outer) by y, exploiting separability."""
-    f = p.gamma * jacobi_cn(p.alpha * np.asarray(x, dtype=float), p.k)
-    g = p.gamma_bar * jacobi_cn(p.alpha_bar * np.asarray(y, dtype=float), p.k_bar)
-    t = np.outer(f, g)
     np.arctanh(t, out=t)
     t *= 4.0
     np.cosh(t, out=t)
     t *= 4.0 * p.H
-    return t
+    return float(t) if t.ndim == 0 else t
+
+
+def potential_grid(p: SurfaceParams, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """V sampled on the tensor grid x (outer) by y."""
+    return potential(p, x[:, None], y[None, :])
 
 
 def potential_extrema(p: SurfaceParams) -> tuple[float, float]:

@@ -4,7 +4,8 @@ b_entry_quadrature applies the periodic trapezoid rule to one entry, with
 the cell samples tiled over a fundamental domain of the torus.  There it is
 the same discrete Fourier transform as the coefficient table, so it checks
 the gather, not aliasing.  sine_channel_max measures the sine-coupled
-coefficients of V, which vanish for an even potential.  sector_positions
+coefficients of V, which vanish for an even potential.  cos_coefficient
+reads the coefficient table by the lattice rule alone.  sector_positions
 partitions a basis into the symmetry sectors of A_m one function at a time.
 shell_waves walks the enumeration shells one at a time.
 """
@@ -63,6 +64,17 @@ def b_entry_quadrature(fld: PotentialField, basis: Basis, i: int, j: int) -> flo
     y = (np.arange(tiles[1] * fld.ny) * dy)[None, :]
     integrand = np.tile(fld.grid, tiles) * basis.values(i, x, y) * basis.values(j, x, y)
     return float(integrand.sum()) * dx * dy
+
+
+def cos_coefficient(fld: PotentialField, wave_x: np.ndarray, wave_y: np.ndarray) -> np.ndarray:
+    """(1/area) integral of V cos(2 pi (wave_x x / (n x_period) + wave_y y / y_period)), elementwise.
+
+    The cell frequency (P, Q) sits at the wave (2n P, 2 Q); every other wave
+    reads exact 0.0.  A wave beyond the stored table raises IndexError.
+    """
+    step, ax, ay = 2 * fld.surface.n, np.abs(wave_x), np.abs(wave_y)
+    on = (ax % step == 0) & (ay % 2 == 0)
+    return np.where(on, fld.coeffs[np.where(on, ax // step, 0), np.where(on, ay // 2, 0)], 0.0)
 
 
 def sector_positions(basis: Basis, n: int) -> list[np.ndarray]:

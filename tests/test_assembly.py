@@ -132,20 +132,6 @@ class TestSampling:
         assert on.shape == cell.shape
         assert np.max(np.abs(on - cell)) <= 1e-12 * np.max(np.abs(cell))
 
-    def test_structural_zeros_are_exact(self, w32_field):
-        assert w32_field.cos_coefficient(1, 0) == 0.0
-        assert w32_field.cos_coefficient(4, 1) == 0.0
-        assert w32_field.cos_coefficient(3, 2) == 0.0
-
-    def test_vectorized_lookup_follows_lattice_rule(self, w32_field):
-        n = w32_field.surface.n
-        waves_x, waves_y = np.meshgrid(np.arange(-12, 13), np.arange(-9, 10), indexing="ij")
-        looked_up = w32_field.cos_coefficient(waves_x, waves_y)
-        for wx, wy, value in zip(waves_x.flat, waves_y.flat, looked_up.flat):
-            on_lattice = wx % (2 * n) == 0 and wy % 2 == 0
-            expected = w32_field.coeffs[abs(wx) // (2 * n), abs(wy) // 2] if on_lattice else 0.0
-            assert value == expected
-
     def test_area_is_the_torus_area(self, w32_field, w43_field):
         for fld in (w32_field, w43_field):
             p = fld.surface

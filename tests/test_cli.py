@@ -126,6 +126,20 @@ class TestReport:
         assert out == ""
         assert err == "error: matrix is not symmetric\n"
 
+    def test_warning_is_one_stderr_line(self, capsys):
+        code, out, err = run_cli(capsys, "report", "--surface", "4/3", "--m", "41")
+        assert code == 0
+        assert json.loads(out)["reports"][0]["m_used"] == 41
+        assert err == "warning: basis size 41 does not complete a shell (even parity)\n"
+
+    def test_warning_precedes_the_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["report", "--surface", "4/3", "--m", "2000", "--grid", "64"])
+        assert info.value.code == 2
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning == "warning: basis size 2000 does not complete a shell (even parity)"
+        assert error.startswith("error: cell grid 64x64")
+
     @pytest.mark.parametrize("big_h", ["nan", "inf"])
     def test_non_finite_mean_curvature_is_usage_error(self, capsys, big_h):
         with pytest.raises(SystemExit) as info:
@@ -360,6 +374,13 @@ class TestCache:
         monkeypatch.setenv("WENTE_CACHE_DIR", str(tmp_path))
         run_cli(capsys, "report", "--surface", "3/2", "--m", "41", "--grid", "256")
         assert list(tmp_path.glob("*.wntpot"))
+
+    def test_option_overrides_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("WENTE_CACHE_DIR", str(tmp_path / "env"))
+        run_cli(capsys, "report", "--surface", "3/2", "--m", "41", "--cache-dir", str(tmp_path / "opt"))
+        code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path / "opt"))
+        assert code == 0 and json.loads(out)["rows"]
+        assert not (tmp_path / "env").exists()
 
     def test_cache_without_dir_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("WENTE_CACHE_DIR", raising=False)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wente_index.elliptic import EllipticModulus, complete_K, jacobi_cn
+from wente_index.elliptic import complete_K, jacobi_cn
 
 THETA = 17.7324
 THETA_BAR = 65.354955354
@@ -47,28 +47,22 @@ def cn_ode_oracle(u: float, k: float, steps: int = 70000) -> float:
 
 
 class TestModulus:
-    def test_parameter_is_cached_square(self):
-        mod = EllipticModulus(0.3)
-        assert mod.m == 0.3 * 0.3
-
-    def test_from_degrees_stores_exact_sine(self):
-        mod = EllipticModulus.from_degrees(THETA)
-        assert mod.k == math.sin(math.radians(THETA))
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            EllipticModulus(bad)
+            complete_K(bad)
+        with pytest.raises(ValueError):
+            jacobi_cn(0.3, bad)
 
 
 class TestCompleteK:
     def test_degenerate_modulus(self):
-        assert complete_K(EllipticModulus(0.0)) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert complete_K(0.0) == pytest.approx(math.pi / 2, rel=1e-15)
 
     @pytest.mark.parametrize("theta", [THETA, THETA_BAR])
     def test_frozen_oracle_values(self, theta):
         k = math.sin(math.radians(theta))
-        assert complete_K(EllipticModulus(k)) == pytest.approx(K_ORACLE[theta], rel=1e-14)
+        assert complete_K(k) == pytest.approx(K_ORACLE[theta], rel=1e-14)
 
     @pytest.mark.parametrize("theta", [THETA, THETA_BAR])
     def test_oracle_reproduces_frozen_value(self, theta):
@@ -77,13 +71,13 @@ class TestCompleteK:
 
     def test_against_quadrature_on_a_grid(self):
         for k in np.linspace(0.05, 0.95, 10):
-            assert complete_K(EllipticModulus(float(k))) == pytest.approx(
+            assert complete_K(float(k)) == pytest.approx(
                 k_quadrature_oracle(float(k)), rel=1e-13
             )
 
     def test_strictly_increasing(self):
         ks = np.linspace(0.0, 0.99, 40)
-        values = [complete_K(EllipticModulus(float(k))) for k in ks]
+        values = [complete_K(float(k)) for k in ks]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_rejects_bad_modulus(self):
@@ -98,8 +92,7 @@ class TestJacobiCn:
 
     def test_quarter_period_zero(self):
         for k in (0.2, 0.6, 0.908953):
-            mod = EllipticModulus(k)
-            assert abs(jacobi_cn(complete_K(mod), mod)) < 1e-12
+            assert abs(jacobi_cn(complete_K(k), k)) < 1e-12
 
     def test_degenerate_modulus_is_cosine(self):
         assert jacobi_cn(1.0, 0.0) == pytest.approx(math.cos(1.0), abs=1e-15)
@@ -115,15 +108,14 @@ class TestJacobiCn:
 
     def test_periodicity(self, rng):
         for k in (0.15, 0.6, 0.9089):
-            mod = EllipticModulus(k)
-            period = 4.0 * complete_K(mod)
+            period = 4.0 * complete_K(k)
             u = rng.uniform(-20.0, 20.0, size=50)
-            np.testing.assert_allclose(jacobi_cn(u + period, mod), jacobi_cn(u, mod), atol=1e-11)
+            np.testing.assert_allclose(jacobi_cn(u + period, k), jacobi_cn(u, k), atol=1e-11)
 
     def test_evenness_exact(self, rng):
         u = rng.uniform(0.0, 15.0, size=100)
-        mod = EllipticModulus(0.71)
-        assert np.array_equal(jacobi_cn(-u, mod), jacobi_cn(u, mod))
+        k = 0.71
+        assert np.array_equal(jacobi_cn(-u, k), jacobi_cn(u, k))
 
     def test_bounded_by_one(self, rng):
         u = rng.uniform(-40.0, 40.0, size=200)
@@ -131,24 +123,24 @@ class TestJacobiCn:
             assert np.all(jacobi_cn(u, k) ** 2 <= 1.0 + 1e-15)
 
     def test_half_period_sign_flip(self):
-        mod = EllipticModulus(0.6)
-        two_k = 2.0 * complete_K(mod)
+        k = 0.6
+        two_k = 2.0 * complete_K(k)
         for u in (0.1, 0.4, 1.1):
-            assert jacobi_cn(u + two_k, mod) == pytest.approx(-jacobi_cn(u, mod), abs=1e-12)
+            assert jacobi_cn(u + two_k, k) == pytest.approx(-jacobi_cn(u, k), abs=1e-12)
 
     def test_accuracy_over_eight_quarter_periods(self):
-        mod = EllipticModulus(0.9089535101982177)
-        big_k = complete_K(mod)
+        k = 0.9089535101982177
+        big_k = complete_K(k)
         u = np.linspace(-8.0 * big_k, 8.0 * big_k, 257)
-        reduced = jacobi_cn(u, mod)
+        reduced = jacobi_cn(u, k)
         # against the oracle at a few points of the sweep
         for idx in (3, 64, 130, 200, 255):
-            assert reduced[idx] == pytest.approx(cn_ode_oracle(float(u[idx]), mod.k), abs=1e-11)
+            assert reduced[idx] == pytest.approx(cn_ode_oracle(float(u[idx]), k), abs=1e-11)
 
     def test_scalar_and_array_agree(self):
         u = np.array([0.3, 1.7, 5.0])
-        mod = EllipticModulus(0.4)
-        arr = jacobi_cn(u, mod)
+        k = 0.4
+        arr = jacobi_cn(u, k)
         assert arr.shape == (3,)
         for i, ui in enumerate(u):
-            assert arr[i] == jacobi_cn(float(ui), mod)
+            assert arr[i] == jacobi_cn(float(ui), k)

@@ -3,8 +3,10 @@
 Partition, bits, structural zeros, the fold, the spectrum and the memory
 guard.  The dense reference below is a gather that knows nothing of the
 sectors: one m_s x m_s block per phase, every same-phase pair computed
-whether or not its coefficients can be nonzero.  The zeros it leaves
-between them are an independent check of the sector key.
+whether or not its coefficients can be nonzero, each coefficient read
+from the table by the lattice rule in oracles.py, not by the library's
+gather.  The zeros it leaves between them are an independent check of the
+sector key.
 """
 
 import functools
@@ -28,7 +30,7 @@ from wente_index.reference import REFERENCE_ESTIMATES
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import CATALOG, catalog_surface, lattice
 
-from oracles import sector_positions
+from oracles import cos_coefficient, sector_positions
 
 CASES = [(3, 2, 1013), (4, 3, 1089), (7, 6, 1013), (13, 7, 181), (73, 72, 85)]
 IDS = [f"{ell}/{n}@{m}" for ell, n, m in CASES]
@@ -53,8 +55,8 @@ def _dense_gather(fld, basis):
     for sine in (True, False):
         idx = np.flatnonzero(basis.sine == sine)
         wx, wy, norm = basis.wave_x[idx], basis.wave_y[idx], basis.norm[idx]
-        diff = fld.cos_coefficient(wx[:, None] - wx, wy[:, None] - wy)
-        total = fld.cos_coefficient(wx[:, None] + wx, wy[:, None] + wy)
+        diff = cos_coefficient(fld, wx[:, None] - wx, wy[:, None] - wy)
+        total = cos_coefficient(fld, wx[:, None] + wx, wy[:, None] + wy)
         value = 0.5 * (diff - total) if sine else 0.5 * (diff + total)
         a[np.ix_(idx, idx)] = -(np.outer(norm, norm) * fld.area * value)
     a[np.diag_indices_from(a)] += basis.alpha

@@ -11,7 +11,6 @@ from wente_index.surface import (
     build_surface,
     catalog_surface,
     lattice,
-    load_catalog,
     potential,
     potential_extrema,
     potential_grid,
@@ -41,12 +40,12 @@ class TestBuildSurface:
         assert scaled.y_period == pytest.approx(base.y_period / 2.0, rel=1e-13)
 
     def test_modulus_is_exact_sine(self, w32):
-        assert w32.k.k == math.sin(math.radians(17.7324))
-        assert w32.k_bar.k == math.sin(math.radians(THETA_BAR_DEGREES))
+        assert w32.k == math.sin(math.radians(17.7324))
+        assert w32.k_bar == math.sin(math.radians(THETA_BAR_DEGREES))
 
     def test_admissibility_constraint(self, w32):
         # theta + thetabar < 90 degrees forces gamma * gammabar < 1
-        assert w32.theta_degrees + w32.theta_bar_degrees < 90.0
+        assert w32.theta_degrees + THETA_BAR_DEGREES < 90.0
         assert w32.gamma * w32.gamma_bar < 1.0
 
     @pytest.mark.parametrize(
@@ -173,17 +172,11 @@ class TestLattice:
 
 class TestCatalog:
     def test_catalog_order_and_thetas_match_reference(self):
-        # CATALOG is read from the shipped data/catalog.txt
+        # CATALOG is built from the reference geometry table, the angles' only source
         expected = tuple(
             (*map(int, ref.surface.split("/")), ref.theta_degrees) for ref in REFERENCE_GEOMETRY
         )
         assert CATALOG == expected
-
-    def test_rejects_malformed_line(self, tmp_path):
-        target = tmp_path / "bad.txt"
-        target.write_text("3 2\n")
-        with pytest.raises(ParameterError):
-            load_catalog(target)
 
     def test_catalog_theta_values_match_reference(self):
         for ref in REFERENCE_GEOMETRY:

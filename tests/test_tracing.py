@@ -1,11 +1,14 @@
-"""The names the benchmark's tracer wraps, and how often a report calls them.
+"""The names the benchmark's tracer wraps, how often a report calls them, and the benchmark's own checks.
 
 perfbench/spans.py replaces each (module, attribute) in its WRAPPED table
 with a timing wrapper; a name that no longer resolves breaks the traced run.
+perfbench/workloads.py checks every operation's output; an op that fails
+those checks here would fail the benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,18 +20,19 @@ from wente_index.bounds import full_report
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import catalog_surface
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_resolves():
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     assert spans.WRAPPED
     for module, attr, _ in spans.WRAPPED:
         assert callable(getattr(importlib.import_module(f"wente_index.{module}"), attr)), (module, attr)
@@ -71,7 +75,7 @@ def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell,
 
 def test_span_attributes_read_real_results():
     # a traced run reads these attributes from every assemble and eigensolve
-    spans = _load_spans()
+    spans = _load_perfbench("spans")
     p, m = catalog_surface(4, 3), 81
     matrix = assemble(p, m)
     attrs = spans._attrs("assembly.assemble", assemble, (p, m), {}, matrix)
@@ -79,3 +83,42 @@ def test_span_attributes_read_real_results():
     assert m <= attrs["nonzero_upper"] <= m * (m + 1) // 2
     est = eigen_symmetric(matrix)
     assert spans._attrs("spectrum.eigen_symmetric", eigen_symmetric, (matrix,), {}, est) == {"m": m}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/workloads.py and the library namespace its workloads call."""
+    workloads = _load_perfbench("workloads")
+    saved = list(sys.path)
+    try:
+        lib = workloads.load_library(ROOT / "src")
+    finally:
+        sys.path[:] = saved
+    return workloads, lib
+
+
+def _failures(outcomes):
+    return [(out.key, out.error, out.problems) for out in outcomes if out.failed]
+
+
+def test_benchmark_catalog_pass_passes_its_checks(bench):
+    workloads, lib = bench
+    outcomes = workloads.CatalogWorkload(lib, seed=1).run_pass()[1]
+    assert len(outcomes) == 19
+    assert _failures(outcomes) == []
+
+
+def test_benchmark_cache_warm_set_up_passes_its_checks(bench, tmp_path, monkeypatch):
+    monkeypatch.delenv("WENTE_CACHE_DIR", raising=False)
+    workloads, lib = bench
+    outcomes = workloads.CacheWarmWorkload(lib, seed=1, cache_dir=tmp_path).set_up()
+    assert len(outcomes) == 2 * 19
+    assert _failures(outcomes) == []
+    assert len(list(tmp_path.glob("*.wntpot"))) == 19
+
+
+def test_benchmark_large_m_set_up_passes_its_checks(bench):
+    workloads, lib = bench
+    outcomes = workloads.LargeMWorkload(lib, seed=1).set_up()
+    assert len(outcomes) == 3
+    assert _failures(outcomes) == []
