@@ -69,11 +69,13 @@ __all__ = [
 # Samples per period cell; resolves every catalogued potential (and theta up
 # to 24.5 degrees) to about 1e-11 relative.
 DEFAULT_GRID = 256
-# Peak bytes of assemble per gathered pair (a gathered row against one
-# function of its sector): tracemalloc reads 67.3, 66.1 and 65.9 (index
-# arrays, wave sums, their coefficients) at 3/2@1013, 3/2@2113 and
-# 4/3@2025; the rest is headroom.
-SECTOR_PAIR_BYTES = 80
+# Peak bytes of assemble per gathered pair (a gathered row against one function of its sector: the flat
+# gather, the stacks and their fold) beyond one chunk of gather_pairs.  tracemalloc reads 20.8, 21.0 and
+# 24.5 bytes per pair in all at 3/2@8065, 4/3@6001 and 4/3@4325; the rest is headroom.
+SECTOR_PAIR_BYTES = 26
+_CHUNK_PAIRS = 1 << 15
+# One chunk's index arrays, wave sums and their coefficients, about 70 bytes per pair; the guard counts 80.
+_CHUNK_BYTES = 80 * _CHUNK_PAIRS
 
 
 class CoefficientRangeError(ValueError):
@@ -202,48 +204,56 @@ def mirror_partners(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     return partner, np.where((a == 0) & sine, -1.0, 1.0)
 
 
-def _outer(rows: np.ndarray, row_counts, cols: np.ndarray, col_counts) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) over every row and column of each group, group after group, row-major.
+def _pair_chunks(rows: np.ndarray, row_counts, cols: np.ndarray, col_counts):
+    """(at, i, j) over every row and column of each group, group after group, row-major, in chunks of whole rows.
 
+    at is the chunk's slice of the whole; a chunk holds at most _CHUNK_PAIRS pairs, or one row.
     A row's entries start at ends - width and read cols from its group's first.
     """
     width = np.repeat(col_counts, row_counts)
     ends = np.cumsum(width)
-    col = np.repeat(np.repeat(np.cumsum(col_counts) - col_counts, row_counts) - ends + width, width)
-    col += np.arange(len(col))
-    return np.repeat(rows, width), cols[col]
+    shift = np.repeat(np.cumsum(col_counts) - col_counts, row_counts) - ends + width
+    a = begin = 0
+    while a < len(rows):
+        b = max(a + 1, int(np.searchsorted(ends, begin + _CHUNK_PAIRS, side="right")))
+        col = np.repeat(shift[a:b], width[a:b])
+        col += np.arange(begin, ends[b - 1])
+        yield slice(begin, ends[b - 1]), np.repeat(rows[a:b], width[a:b]), cols[col]
+        a, begin = b, int(ends[b - 1])
 
 
-def gather_pairs(fld: PotentialField, basis: Basis, i: np.ndarray, j: np.ndarray, form=False) -> np.ndarray:
-    """b_ij, or with form alpha_i delta_ij - b_ij, for each same-phase pair of positions (i[k], j[k]).
+def gather_pairs(fld: PotentialField, basis: Basis, chunks, form=False):
+    """(at, i, j, b) per chunk (at, i, j): b_ij, or with form alpha_i delta_ij - b_ij, at pairs (i[k], j[k]).
 
     A same-phase pair reduces to the cosine coefficients at the wave
     difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
     - C[w_i + w_j]) for sines and with + for cosines.  Every pair reads one
-    _signed_table, at the wave codes code_i -+ code_j with code = wave_x W +
-    wave_y; (i, j) and (j, i) take the same operations, so the result is
-    bit-symmetric.
+    _signed_table, built once for all chunks, at the wave codes code_i -+
+    code_j with code = wave_x W + wave_y; (i, j) and (j, i) take the same
+    operations, so the result is bit-symmetric.
     """
     reach_x, reach_y = 2 * int(np.abs(basis.wave_x).max()), 2 * int(np.abs(basis.wave_y).max())
     table, width = _signed_table(fld, reach_x, reach_y), 2 * reach_y + 1
     code = basis.wave_x * width + basis.wave_y
-    at, other = (code + (reach_x * width + reach_y))[i], code[j]
-    diff, total = _read(fld, table, width, at - other), _read(fld, table, width, at + other)
-    np.negative(total, out=total, where=basis.sine[i])
-    b = basis.norm[i] * basis.norm[j] * fld.area * (0.5 * (diff + total))
-    if form:
-        np.negative(b, out=b)
-        diagonal = np.flatnonzero(i == j)
-        b[diagonal] += basis.alpha[i[diagonal]]
-    return b
+    shifted = code + (reach_x * width + reach_y)
+    for part, i, j in chunks:
+        at, other = shifted[i], code[j]
+        diff, total = _read(fld, table, width, at - other), _read(fld, table, width, at + other)
+        np.negative(total, out=total, where=basis.sine[i])
+        b = basis.norm[i] * basis.norm[j] * fld.area * (0.5 * (diff + total))
+        if form:
+            np.negative(b, out=b)
+            diagonal = np.flatnonzero(i == j)
+            b[diagonal] += basis.alpha[i[diagonal]]
+        yield part, i, j, b
 
 
 def _dense(fld: PotentialField, basis: Basis, form: bool) -> np.ndarray:
     """The matrix from one gather within sectors; between them -0.0 (+0.0 in b) in a phase, +0.0 across."""
     _, order, sizes = _sectors(basis, fld.surface.n)
-    i, j = _outer(order, sizes, order, sizes)
     out = np.where(basis.sine[:, None] == basis.sine, -0.0 if form else 0.0, 0.0)
-    out[i, j] = gather_pairs(fld, basis, i, j, form)
+    for _, i, j, b in gather_pairs(fld, basis, _pair_chunks(order, sizes, order, sizes), form):
+        out[i, j] = b
     return out
 
 
@@ -305,8 +315,10 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
     with X = A[i, j] and Y = A[i, R j]: a pair-pair entry is X + Y in the
     even half and X - Y in the odd one, pair-self sqrt(2) X, self-self X.
     """
-    i, j = _outer(plan.rows, plan.row_counts, plan.order, plan.sizes)
-    flat = gather_pairs(fld, basis, i, j, form=True)
+    chunks = _pair_chunks(plan.rows, plan.row_counts, plan.order, plan.sizes)
+    flat = np.empty(int(plan.row_counts @ plan.sizes))
+    for at, _, _, b in gather_pairs(fld, basis, chunks, form=True):
+        flat[at] = b
     sizes, counts = np.unique(plan.half_sizes, return_counts=True)
     stacks, first = [], 0
     copies = np.split(plan.copies, np.cumsum(counts)[:-1])
@@ -333,7 +345,7 @@ class GalerkinMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense m x m matrix (8 m^2 bytes, outside assemble's memory guard), gathered on each access."""
+        """The dense m x m matrix (8 m^2 bytes, outside the guard), regathered in row chunks on each access."""
         return stability_matrix(self.fld, self.basis)
 
     def principal(self, pos) -> np.ndarray:
@@ -343,7 +355,7 @@ class GalerkinMatrix:
 
 def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest) -> None:
     """ParameterError when gathering that many pairs would not fit in physical memory."""
-    need, have = SECTOR_PAIR_BYTES * pairs, _physical_memory()
+    need, have = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES, _physical_memory()
     if need > have:
         raise ParameterError(
             f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {blocks} "

@@ -80,11 +80,6 @@ class Basis:
         """The sub-basis at a slice or an index array of positions."""
         return Basis(*(getattr(self, f.name)[key] for f in fields(self)))
 
-    def values(self, i: int, x, y):
-        """Function at position i on broadcastable coordinates."""
-        arg = self.freq_x[i] * np.asarray(x, dtype=float) + self.freq_y[i] * np.asarray(y, dtype=float)
-        return self.norm[i] * (np.sin(arg) if self.sine[i] else np.cos(arg))
-
 
 def _physical_memory() -> int:
     """Bytes of physical memory on this machine."""

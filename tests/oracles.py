@@ -5,7 +5,8 @@ the cell samples tiled over a fundamental domain of the torus.  There it is
 the same discrete Fourier transform as the coefficient table, so it checks
 the gather, not aliasing.  sine_channel_max measures the sine-coupled
 coefficients of V, which vanish for an even potential.  cos_coefficient
-reads the coefficient table by the lattice rule alone.  sector_positions
+reads the coefficient table by the lattice rule alone.  basis_values
+evaluates one basis function pointwise.  sector_positions
 partitions a basis into the symmetry sectors of A_m one function at a time.
 shell_waves walks the enumeration shells one at a time.
 """
@@ -40,6 +41,12 @@ def sine_channel_max(fld: PotentialField, pmax: int | None = None, qmax: int | N
     return worst
 
 
+def basis_values(basis: Basis, i: int, x, y):
+    """The function at position i of basis on broadcastable coordinates."""
+    arg = basis.freq_x[i] * np.asarray(x, dtype=float) + basis.freq_y[i] * np.asarray(y, dtype=float)
+    return basis.norm[i] * (np.sin(arg) if basis.sine[i] else np.cos(arg))
+
+
 def b_entry_quadrature(fld: PotentialField, basis: Basis, i: int, j: int) -> float:
     """b_ij at positions i, j by the periodic trapezoid rule on the field's grid.
 
@@ -62,7 +69,7 @@ def b_entry_quadrature(fld: PotentialField, basis: Basis, i: int, j: int) -> flo
     dx, dy = 0.5 * p.x_period / fld.nx, 0.5 * p.y_period / fld.ny
     x = (np.arange(tiles[0] * fld.nx) * dx)[:, None]
     y = (np.arange(tiles[1] * fld.ny) * dy)[None, :]
-    integrand = np.tile(fld.grid, tiles) * basis.values(i, x, y) * basis.values(j, x, y)
+    integrand = np.tile(fld.grid, tiles) * basis_values(basis, i, x, y) * basis_values(basis, j, x, y)
     return float(integrand.sum()) * dx * dy
 
 

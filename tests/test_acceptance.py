@@ -31,7 +31,7 @@ from wente_index.reference import REFERENCE_ESTIMATES, REFERENCE_GEOMETRY, estim
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import build_surface, catalog_surface, lattice, potential_extrema
 
-from oracles import b_entry_quadrature
+from oracles import b_entry_quadrature, basis_values
 
 RANGE_RTOL = 0.02
 ROW_SECONDS = 60.0
@@ -254,7 +254,7 @@ def test_criterion_8_property_suite(reference_reports):
         x = (np.arange(256) * (width / 256))[:, None]
         y = (np.arange(256) * (p.y_period / 256))[None, :]
         cell = (width / 256) * (p.y_period / 256)
-        vals = [basis.values(i, x, y) for i in range(30)]
+        vals = [basis_values(basis, i, x, y) for i in range(30)]
         gram = np.array([[float(np.sum(a * b)) * cell for b in vals] for a in vals])
         if np.max(np.abs(gram - np.eye(30))) > 1e-10:
             failures.append(f"{label}: basis not orthonormal to 1e-10")

@@ -281,7 +281,7 @@ class TestAssemble:
 
     def test_memory_guard_refuses_before_sampling(self, w32, monkeypatch):
         import wente_index.assembly as assembly_mod
-        from wente_index.assembly import SECTOR_PAIR_BYTES, mirror_partners
+        from wente_index.assembly import _CHUNK_BYTES, SECTOR_PAIR_BYTES, mirror_partners
         from wente_index.surface import ParameterError
 
         def never(*args, **kwargs):
@@ -301,7 +301,9 @@ class TestAssemble:
                 continue
             closed = np.all(partner[s] >= 0)
             pairs += len(s) * (int(np.sum(partner[s] >= s)) if closed else len(s))
-        need = SECTOR_PAIR_BYTES * pairs
+        # the guard charges those pairs and one gather_pairs chunk, 3.53 MB; before
+        # enumerating it charges the floor of 1013^2 / 48 pairs, 3.18 MB
+        need = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match="m = 1013 needs about"):
             assemble(w32, 1013)
@@ -320,8 +322,8 @@ class TestAssemble:
         # 3/2 has at most 12 sectors, so A_1200 holds at least 1200^2 / 12
         # in-sector pairs; at least half lie in gathered sectors (a skipped
         # sine twin is as large as its cosine), which gather at least half
-        # their rows: 2.88 MB at SECTOR_PAIR_BYTES = 80
-        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 48
+        # their rows, and one gather_pairs chunk: 3.40 MB at SECTOR_PAIR_BYTES = 26
+        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 48 + assembly_mod._CHUNK_BYTES
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
             assemble(w32, 1200)

@@ -15,7 +15,7 @@ from wente_index.basis import (
 )
 from wente_index.surface import ParameterError, lattice, potential_extrema
 
-from oracles import shell_waves
+from oracles import basis_values, shell_waves
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,7 +145,7 @@ class TestOrthonormality:
         x = (np.arange(nx) * (width / nx))[:, None]
         y = (np.arange(ny) * (p.y_period / ny))[None, :]
         cell = (width / nx) * (p.y_period / ny)
-        values = [basis.values(i, x, y) for i in range(30)]
+        values = [basis_values(basis, i, x, y) for i in range(30)]
         for i in range(30):
             for j in range(i, 30):
                 integral = float(np.sum(values[i] * values[j])) * cell
@@ -159,7 +159,7 @@ class TestOrthonormality:
         x0, y0 = 0.37, 0.81
 
         def u(x, y):
-            return basis.values(7, x, y)
+            return basis_values(basis, 7, x, y)
 
         lap = (u(x0 + h, y0) + u(x0 - h, y0) + u(x0, y0 + h) + u(x0, y0 - h) - 4.0 * u(x0, y0)) / (h * h)
         assert -lap == pytest.approx(basis.alpha[7] * u(x0, y0), rel=1e-5)

@@ -10,6 +10,7 @@ sector key.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from wente_index.bounds import default_m, full_report
 from wente_index.cli import main
 from wente_index.reference import REFERENCE_ESTIMATES
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import CATALOG, catalog_surface, lattice
+from wente_index.surface import CATALOG, ParameterError, catalog_surface, lattice
 
 from oracles import cos_coefficient, sector_positions
 
@@ -267,10 +268,10 @@ def test_guard_admits_3_2_at_2113_in_64_mib(monkeypatch):
 
 def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
     # 5305 functions in at most 12 sectors gather at least 5305^2 / 48
-    # pairs (45 MiB at SECTOR_PAIR_BYTES = 80); the 12 sectors of 3/2
-    # gather 913809 (70 MiB, the sine twins excluded): the exact count
-    # refuses, after enumerating
-    _small_memory(monkeypatch, 64 * 2**20)
+    # pairs (17.9 MB at SECTOR_PAIR_BYTES = 26 and one 2.6 MB chunk); the 12
+    # sectors of 3/2 gather 913809 (26.4 MB, the sine twins excluded): in
+    # 24 MiB (25.2 MB) the exact count refuses, after enumerating
+    _small_memory(monkeypatch, 24 * 2**20)
     p = catalog_surface(3, 2)
     largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 5305), 2))
     with pytest.raises(SystemExit) as info:
@@ -279,3 +280,47 @@ def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: m = 5305 needs about")
     assert f"the largest has {largest} functions" in err
+
+
+@pytest.mark.parametrize("ell,n,m", [(3, 2, 2113), (4, 3, 2025), (3, 2, 4325)], ids=["3/2@2113", "4/3@2025", "3/2@4325"])
+def test_guard_charges_no_less_than_the_measured_peak(monkeypatch, ell, n, m):
+    # the guard refuses any memory below the tracemalloc peak of the
+    # gather it guards, and admits twice that peak
+    p = catalog_surface(ell, n)
+    fld = potential_field(p, enumerate_basis(lattice(p), m), AssemblyConfig())
+    tracemalloc.start()
+    try:
+        assemble(p, m, fld=fld)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(ParameterError, match=f"m = {m} needs about"):
+        assemble(p, m, fld=fld)
+    monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 2 * peak)
+    assert _functions(assemble(p, m, fld=fld)) == m
+
+
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize(
+    "ell,n,m", [(3, 2, 2113), (4, 3, 2025), (3, 2, 100), (3, 2, 181)], ids=["3/2@2113", "4/3@2025", "3/2@100", "3/2@181"]
+)
+@pytest.mark.parametrize("chunk", [1, 7, -1], ids=["1", "7", "widest-1"])
+def test_row_chunks_gather_the_bits_of_one_gather(monkeypatch, ell, n, m, chunk):
+    # chunks of one row, of a few rows, and of all rows but the widest, which
+    # stands alone, give the halves (3/2@100 ends on an open sine sector) and
+    # the dense entries, signed zeros included, of a single gather
+    p = catalog_surface(ell, n)
+    basis = enumerate_basis(lattice(p), m)
+    fld = potential_field(p, basis, AssemblyConfig())
+
+    def gathered():
+        matrix = assemble(p, m, fld=fld)
+        dense = matrix.entries.tobytes() if m == 181 else None
+        return [s.tobytes() for s in matrix.stacks], [c.tolist() for c in matrix.copies], dense
+
+    monkeypatch.setattr(assembly_mod, "_CHUNK_PAIRS", m * m)
+    whole = gathered()
+    widest = int(assembly_mod._sectors(basis, n)[2].max())
+    monkeypatch.setattr(assembly_mod, "_CHUNK_PAIRS", chunk if chunk > 0 else widest - 1)
+    assert gathered() == whole

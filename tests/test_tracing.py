@@ -16,9 +16,10 @@ import pytest
 import wente_index.assembly as assembly_mod
 import wente_index.bounds as bounds_mod
 from wente_index.assembly import assemble
+from wente_index.basis import enumerate_basis
 from wente_index.bounds import full_report
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import catalog_surface
+from wente_index.surface import catalog_surface, lattice
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,4 +122,14 @@ def test_benchmark_large_m_set_up_passes_its_checks(bench):
     workloads, lib = bench
     outcomes = workloads.LargeMWorkload(lib, seed=1).set_up()
     assert len(outcomes) == 3
+    assert _failures(outcomes) == []
+    # a timed pass also runs the larger sizes, each of which gathers more
+    # pairs than one chunk holds, so the pinned counts and the residual
+    # check cover the chunked gather
+    for label, sizes in workloads.LARGE_M_SIZES.items():
+        p = catalog_surface(*map(int, label.split("/")))
+        plan = assembly_mod._fold_plan(enumerate_basis(lattice(p), sizes[-1]), p.n)
+        assert plan.row_counts @ plan.sizes > assembly_mod._CHUNK_PAIRS
+    outcomes = workloads.LargeMWorkload(lib, seed=1).run_pass()[1]
+    assert sorted(out.key[1] for out in outcomes) == sorted(workloads.LARGE_M_SIZES.values())
     assert _failures(outcomes) == []
