@@ -12,10 +12,9 @@ V is even in y, so the mirror R: (x, y) -> (x, -y) commutes with A_m and
 maps each sector to itself.  A sector whose mirror partners are all in the
 basis splits into an even and an odd half in the orthonormal basis
 (u_i +- u_Ri) / sqrt(2) (Fassler & Stiefel, ch. 5).  The fold is exact:
-b_ij reads the waves only through |w_i -+ w_j| componentwise, so
-b_{Ri,Rj} = sign_i sign_j b_ij bit for bit and one row per mirror pair is
-gathered (alpha of two partners can differ in its last bit on an
-even-parity lattice; the representative's is used).
+b_ij reads the waves only through |w_i -+ w_j| componentwise and alpha
+through the squares of their frequencies, so A_{Ri,Rj} = sign_i sign_j
+A_ij bit for bit and one row per mirror pair is gathered.
 
 A class c = min(a mod 2n, -a mod 2n) other than 0 and n is complex: for two
 functions of its sectors one of w_i -+ w_j has x wave +-2c mod 2n, off the
@@ -39,7 +38,7 @@ import os
 import struct
 import tempfile
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,19 +98,17 @@ class PotentialField:
 
     coeffs[P, Q] approximates the cell average of
     V cos(2 pi P x / (x_period / 2)) cos(2 pi Q y / (y_period / 2)).
-    grid holds the nx x ny cell samples (None when loaded from the cache).
     """
 
     surface: SurfaceParams
     nx: int
     ny: int
     coeffs: np.ndarray
-    grid: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def area(self) -> float:
         """Area of the torus, the domain every b_ij integrates over."""
-        return abs(lattice(self.surface).cell_area)
+        return lattice(self.surface).cell_area
 
 
 def _signed_table(fld: PotentialField, reach_x: int, reach_y: int) -> np.ndarray:
@@ -162,7 +159,7 @@ def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -
     cx = np.cos(2.0 * np.pi * np.outer(np.arange(nx), np.arange(pmax + 1)) / nx)
     cy = np.cos(2.0 * np.pi * np.outer(np.arange(ny), np.arange(qmax + 1)) / ny)
     coeffs = (cx.T @ grid @ cy) / (nx * ny)
-    return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
+    return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs)
 
 
 def potential_field(p: SurfaceParams, basis: Basis, cfg: AssemblyConfig) -> PotentialField:
@@ -441,7 +438,7 @@ def write_field_cache(fld: PotentialField, path: "str | Path") -> None:
 
 
 def read_field_cache(path: "str | Path") -> PotentialField:
-    """Load a cached coefficient table; grid samples are not stored."""
+    """Load a cached coefficient table."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated cache file")

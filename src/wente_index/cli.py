@@ -15,7 +15,8 @@ command's --surface, -H, --format and --cache-dir, plus --m, --grid and
 --zero-tol for report and table3 and the index list for subspace; it does
 not echo --theta, subspace --grid or --jobs.  Identical configurations
 produce byte-identical output (no timestamps, sorted keys), whether or not
-the coefficient cache was warm.  The cache directory comes from --cache-dir
+the coefficient cache was warm.  JSON is strict: a non-finite float is
+written as null.  The cache directory comes from --cache-dir
 or the WENTE_CACHE_DIR variable.
 
 Exit codes: 0 success, 1 a numerical fault (inconsistent bounds, a failed
@@ -130,11 +131,20 @@ def _fan_out(jobs: int, one, items: list) -> list:
 def _emit(args, payload: dict, text_renderer) -> None:
     payload = {"schema_version": SCHEMA_VERSION, "version": __version__, **payload}
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False))
     elif args.format == "csv":
         print(_render_csv(payload), end="")
     else:
         print(text_renderer(payload))
+
+
+def _finite(value):
+    """value with every non-finite float, in any nesting of dicts and lists, as None."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _render_csv(payload: dict) -> str:

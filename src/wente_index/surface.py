@@ -84,21 +84,20 @@ class SurfaceParams:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Generators (a1, a2), (b1, b2) of the conformal lattice of the torus.
+    """Conformal lattice of the torus on the rectangle width x height.
 
-    For odd l the lattice is rectangular; for even l the first generator is
-    shifted by half a vertical period.
+    For odd l the lattice is the rectangle's own; for even l it is also
+    generated by (width / 2, height / 2), which halves the cell.
     """
 
-    a1: float
-    a2: float
-    b1: float
-    b2: float
+    width: float
+    height: float
     parity: str
 
     @property
     def cell_area(self) -> float:
-        return self.a1 * self.b2 - self.a2 * self.b1
+        area = self.width * self.height
+        return area if self.parity == "odd" else 0.5 * area
 
 
 def _validate_label(ell: int, n: int) -> None:
@@ -199,8 +198,5 @@ def potential_extrema(p: SurfaceParams) -> tuple[float, float]:
 
 
 def lattice(p: SurfaceParams) -> Lattice:
-    """Conformal lattice of W_{l/n}; the shape depends on the parity of l."""
-    n_x = p.n * p.x_period
-    if p.ell % 2 == 1:
-        return Lattice(a1=n_x, a2=0.0, b1=0.0, b2=p.y_period, parity="odd")
-    return Lattice(a1=0.5 * n_x, a2=0.5 * p.y_period, b1=0.0, b2=p.y_period, parity="even")
+    """Conformal lattice of W_{l/n} on the rectangle (n x_period, y_period), shaped by the parity of l."""
+    return Lattice(width=p.n * p.x_period, height=p.y_period, parity=p.parity)

@@ -249,12 +249,13 @@ def test_criterion_8_property_suite(reference_reports):
         ell, n = map(int, label.split("/"))
         p = catalog_surface(ell, n)
         m = 41 if p.ell % 2 == 1 else 49
-        basis = enumerate_basis(lattice(p), m)
+        lat = lattice(p)
+        basis = enumerate_basis(lat, m)
         width = p.n * p.x_period * (0.5 if p.ell % 2 == 0 else 1.0)
         x = (np.arange(256) * (width / 256))[:, None]
         y = (np.arange(256) * (p.y_period / 256))[None, :]
         cell = (width / 256) * (p.y_period / 256)
-        vals = [basis_values(basis, i, x, y) for i in range(30)]
+        vals = [basis_values(lat, basis, i, x, y) for i in range(30)]
         gram = np.array([[float(np.sum(a * b)) * cell for b in vals] for a in vals])
         if np.max(np.abs(gram - np.eye(30))) > 1e-10:
             failures.append(f"{label}: basis not orthonormal to 1e-10")

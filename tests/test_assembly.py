@@ -21,7 +21,7 @@ from wente_index.assembly import (
 from wente_index.basis import enumerate_basis
 from wente_index.surface import build_surface, lattice, potential_extrema, potential_grid
 
-from oracles import b_entry_quadrature, sector_positions, sine_channel_max
+from oracles import b_entry_quadrature, cell_grid, sector_positions, sine_channel_max
 
 # The published 9x9 restriction for the 3/2 torus is diagonal; entries are
 # printed to three significant figures.
@@ -63,11 +63,10 @@ def _loop_assemble(fld, basis):
 
 
 def _constant_field(p, value, nx=64, ny=64):
-    """A PotentialField as if V were identically `value` (for contract tests)."""
-    grid = np.full((nx, ny), float(value))
+    """A PotentialField as if V were identically `value` (for contract tests), and its cell samples."""
     coeffs = np.zeros((32, 32))
     coeffs[0, 0] = float(value)
-    return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs, grid=grid)
+    return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs), np.full((nx, ny), float(value))
 
 
 def _rectangle_coeffs(p, cell_nx, cell_ny, pmax, qmax):
@@ -107,7 +106,7 @@ class TestSampling:
         assert coarse.coeffs[0, 0] == pytest.approx(fine.coeffs[0, 0], abs=1e-9)
 
     def test_mean_against_plain_average(self, w32_field):
-        assert w32_field.coeffs[0, 0] == pytest.approx(float(w32_field.grid.mean()), rel=1e-13)
+        assert w32_field.coeffs[0, 0] == pytest.approx(float(cell_grid(w32_field).mean()), rel=1e-13)
 
     def test_sine_channel_vanishes(self, w32_field, w43_field):
         assert sine_channel_max(w32_field, 12, 12) < 1e-10
@@ -150,17 +149,17 @@ class TestSampling:
 
 class TestEntries:
     def test_constant_potential_b11(self, w32):
-        fld = _constant_field(w32, 3.25)
+        fld, grid = _constant_field(w32, 3.25)
         basis = enumerate_basis(lattice(w32), 5)
         assert _entry(fld, basis, 0, 0) == pytest.approx(3.25, rel=1e-13)
-        assert b_entry_quadrature(fld, basis, 0, 0) == pytest.approx(3.25, rel=1e-13)
+        assert b_entry_quadrature(fld, basis, 0, 0, grid) == pytest.approx(3.25, rel=1e-13)
 
     def test_constant_potential_off_diagonal(self, w32):
-        fld = _constant_field(w32, 3.25)
+        fld, grid = _constant_field(w32, 3.25)
         basis = enumerate_basis(lattice(w32), 5)
         # same phase, different modes: orthogonality kills the entry
         assert _entry(fld, basis, 1, 3) == pytest.approx(0.0, abs=1e-15)
-        assert b_entry_quadrature(fld, basis, 1, 3) == pytest.approx(0.0, abs=1e-12)
+        assert b_entry_quadrature(fld, basis, 1, 3, grid) == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_phase_is_exact_zero_fourier(self, w32_field, w32):
         basis = enumerate_basis(lattice(w32), 13)
@@ -217,7 +216,7 @@ class TestEntries:
 class TestAssemble:
     def test_zero_potential_gives_diagonal(self, w32):
         basis = enumerate_basis(lattice(w32), 13)
-        fld = _constant_field(w32, 0.0)
+        fld, _ = _constant_field(w32, 0.0)
         mat = assemble(w32, 13, AssemblyConfig(nx=128, ny=128), fld=fld)
         np.testing.assert_array_equal(mat.entries, np.diag(basis.alpha))
 
@@ -357,7 +356,6 @@ class TestCache:
         assert field_cache_key(loaded.surface, loaded.nx, loaded.ny) == field_cache_key(
             w32, 128, 128
         )
-        assert loaded.grid is None
 
     def test_loaded_field_reproduces_fourier_entries(self, w32, tmp_path):
         fld = sample_potential(w32, 128, 128, 12, 12)
@@ -367,14 +365,14 @@ class TestCache:
         basis = enumerate_basis(lattice(w32), 13)
         assert np.array_equal(b_matrix(loaded, basis), b_matrix(fld, basis))
 
-    def test_quadrature_requires_grid(self, w32, tmp_path):
+    def test_quadrature_on_a_loaded_field_samples_the_same_grid(self, w32, tmp_path):
+        # the cache stores no samples; the oracle samples the cell grid itself
         fld = sample_potential(w32, 128, 128, 12, 12)
         target = tmp_path / "field.wntpot"
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 5)
-        with pytest.raises(ValueError):
-            b_entry_quadrature(loaded, basis, 0, 0)
+        assert b_entry_quadrature(loaded, basis, 1, 3) == b_entry_quadrature(fld, basis, 1, 3)
 
     def test_rejects_corrupt_files(self, w32, tmp_path):
         target = tmp_path / "bad.wntpot"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from wente_index.basis import (
     shells_holding,
     sorted_alpha_stream,
 )
-from wente_index.surface import ParameterError, lattice, potential_extrema
+from wente_index.surface import CATALOG, ParameterError, catalog_surface, lattice, potential_extrema
 
-from oracles import basis_values, shell_waves
+from oracles import basis_values, mode_box_stream, shell_waves
 
 TWO_PI = 2.0 * math.pi
 
@@ -90,7 +91,7 @@ class TestOrdering:
         pos = np.array([16, 0, 8])  # published indices 17, 1, 9
         sub = basis[pos]
         assert len(sub) == 3
-        for name in ("wave_x", "wave_y", "sine", "freq_x", "freq_y", "norm", "alpha"):
+        for name in ("wave_x", "wave_y", "sine", "norm", "alpha"):
             assert np.array_equal(getattr(sub, name), getattr(basis, name)[pos]), name
 
 
@@ -105,9 +106,8 @@ class TestEigenvalues:
     def test_odd_u2(self, w32):
         f = enumerate_basis(lattice(w32), 5)[1:2]
         lat = lattice(w32)
+        assert (f.wave_x[0], f.wave_y[0]) == (1, 0)
         assert f.alpha[0] == pytest.approx(_alpha(w32, 1, 0), rel=1e-13)
-        assert f.freq_x[0] == pytest.approx(TWO_PI / (w32.n * w32.x_period), rel=1e-13)
-        assert f.freq_y[0] == 0.0
         assert f.norm[0] == pytest.approx(math.sqrt(2.0 / lat.cell_area), rel=1e-15)
 
     def test_even_u4(self, w43):
@@ -124,9 +124,11 @@ class TestEigenvalues:
 
     def test_alpha_equals_frequency_square_exactly(self, w32, w43):
         for p, m in ((w32, 41), (w43, 49), (w32, 2113), (w43, 2025)):
-            f = enumerate_basis(lattice(p), m)
+            lat = lattice(p)
+            f = enumerate_basis(lat, m)
             # element by element in Python floats, the scalar formula
-            for alpha, fx, fy in zip(f.alpha.tolist(), f.freq_x.tolist(), f.freq_y.tolist()):
+            for alpha, a, b in zip(f.alpha.tolist(), f.wave_x.tolist(), f.wave_y.tolist()):
+                fx, fy = TWO_PI * a / lat.width, TWO_PI * b / lat.height
                 assert alpha == fx * fx + fy * fy
 
     def test_even_parity_wave_sum_is_even(self, w43):
@@ -145,7 +147,7 @@ class TestOrthonormality:
         x = (np.arange(nx) * (width / nx))[:, None]
         y = (np.arange(ny) * (p.y_period / ny))[None, :]
         cell = (width / nx) * (p.y_period / ny)
-        values = [basis_values(basis, i, x, y) for i in range(30)]
+        values = [basis_values(lat, basis, i, x, y) for i in range(30)]
         for i in range(30):
             for j in range(i, 30):
                 integral = float(np.sum(values[i] * values[j])) * cell
@@ -154,12 +156,13 @@ class TestOrthonormality:
 
     def test_laplacian_eigenfunction_relation(self, w32, rng):
         # -Laplacian u = alpha u, checked by finite differences
-        basis = enumerate_basis(lattice(w32), 13)
+        lat = lattice(w32)
+        basis = enumerate_basis(lat, 13)
         h = 1e-5
         x0, y0 = 0.37, 0.81
 
         def u(x, y):
-            return basis_values(basis, 7, x, y)
+            return basis_values(lat, basis, 7, x, y)
 
         lap = (u(x0 + h, y0) + u(x0 - h, y0) + u(x0, y0 + h) + u(x0, y0 - h) - 4.0 * u(x0, y0)) / (h * h)
         assert -lap == pytest.approx(basis.alpha[7] * u(x0, y0), rel=1e-5)
@@ -265,10 +268,40 @@ class TestAlphaStream:
 
     @pytest.mark.parametrize("limit", [1e3, float("inf"), float("nan")])
     def test_refuses_a_box_beyond_memory(self, w32, monkeypatch, limit):
-        # alpha < 1e3 on 3/2 needs a box of radius 26, about 36 kB by the guard's rule
+        # alpha < 1e3 on 3/2 needs a box of 1215 waves, about 30 kB by the guard's rule
         monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 1000)
         with pytest.raises(ParameterError, match="mode box"):
             sorted_alpha_stream(lattice(w32), limit)
+
+    @pytest.mark.parametrize("ell,n", [row[:2] for row in CATALOG], ids=[f"{ell}/{n}" for ell, n, _ in CATALOG])
+    def test_wave_box_matches_the_mode_box(self, ell, n):
+        # the lattice-mode enumeration in its singular-value box is the
+        # reference: the same counts below V_min and V_max, the same stream
+        # up to the rounding of the two frequency formulas
+        p = catalog_surface(ell, n)
+        lat = lattice(p)
+        for limit in potential_extrema(p):
+            assert len(sorted_alpha_stream(lat, limit)) == len(mode_box_stream(lat, limit))
+        limit = potential_extrema(p)[1] + 1.0
+        stream, reference = sorted_alpha_stream(lat, limit), mode_box_stream(lat, limit)
+        np.testing.assert_allclose(stream, reference, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("ell,n,limit", [(7, 6, 1e5), (21, 20, 3e4), (10, 7, 3e5), (6, 5, 1e5)])
+    def test_guard_charges_no_less_than_the_measured_peak(self, monkeypatch, ell, n, limit):
+        # boxes of 0.9 to 2.6 million waves, odd and even lattices: the guard
+        # refuses any memory below the tracemalloc peak of the enumeration
+        lat = lattice(catalog_surface(ell, n))
+        tracemalloc.start()
+        try:
+            stream = sorted_alpha_stream(lat, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: peak - 1)
+        with pytest.raises(ParameterError, match="mode box"):
+            sorted_alpha_stream(lat, limit)
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 3 * peak)
+        assert np.array_equal(sorted_alpha_stream(lat, limit), stream)
 
     def test_multiplicity_pairs(self, w32):
         stream = sorted_alpha_stream(lattice(w32), 30.0)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import wente_index.cli as cli_mod
-from wente_index.bounds import ConsistencyError
+from wente_index.bounds import SUBSPACE_SETS, ConsistencyError
 from wente_index.cli import main
-from wente_index.surface import build_surface, potential_extrema
+from wente_index.surface import CATALOG, build_surface, potential_extrema
 
 
 def run_cli(capsys, *argv):
@@ -192,8 +192,9 @@ class TestBounds:
     def test_out_of_range_surface_is_usage_error(self, capsys, monkeypatch, option, value, message):
         import wente_index.basis as basis_mod
 
-        # 1 GiB, so the guard and not this machine's memory decides
-        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 2**30)
+        # 16 MiB, so the guard and not this machine's memory decides; the
+        # V_max box of theta = 1e-9 holds 1.74 million waves (44 MB)
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 2**24)
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--surface", "3/2", option, value])
         assert info.value.code == 2
@@ -207,7 +208,8 @@ class TestBounds:
 
         import wente_index.basis as basis_mod
 
-        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 2**30)
+        # 16 MiB, below the 44 MB box of V_max
+        monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 2**24)
         v_min, v_max = potential_extrema(build_surface(3, 2, 0.5, 1e-9))
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--surface", "3/2", "--theta", "1e-9"])
@@ -430,6 +432,43 @@ def test_every_payload_carries_the_envelope(capsys, tmp_path):
         payload = json.loads(out)
         assert payload["schema_version"] == 4, argv
         assert payload["version"] == cli_mod.__version__, argv
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+STRICT_ARGVS = (
+    [["report", "--surface", f"{ell}/{n}", "--jobs", "1"] for ell, n, _ in CATALOG]
+    + [["report", "--surface", "all"], ["report", "--surface", "3/2", "--m", "5"]]
+    + [["bounds"], ["table2"], ["table3", "--surface", "all"]]
+    + [["subspace", "--surface", label] for label in SUBSPACE_SETS]
+)
+
+
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize("argv", STRICT_ARGVS, ids=" ".join)
+def test_json_is_strict(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    _strict_json(out)
+
+
+def test_json_writes_a_non_finite_float_as_null(capsys, tmp_path):
+    # 3/2 at m = 5 has no positive eigenvalue above its negative block; the
+    # cache listing holds a readable and an unreadable table
+    argv = ["report", "--surface", "3/2", "--m", "5", "--cache-dir", str(tmp_path)]
+    (report,) = _strict_json(run_cli(capsys, *argv)[1])["reports"]
+    assert report["first_positive_six"] == [None, None]
+    assert "nan;nan" in run_cli(capsys, *argv, "--format", "csv")[1]
+    (tmp_path / "pot_bad.wntpot").write_bytes(b"WNT")
+    rows = _strict_json(run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))[1])["rows"]
+    assert [r["file"] for r in rows if "unreadable" in r] == ["pot_bad.wntpot"] and len(rows) > 1
 
 
 @pytest.mark.parametrize("argv", [["subspace", "--surface", "3/2", "--indices", "1,2,3"], ["cache", "inspect"]])

@@ -23,6 +23,7 @@ from wente_index.assembly import (
     b_matrix,
     mirror_partners,
     potential_field,
+    stability_matrix,
 )
 from wente_index.basis import enumerate_basis
 from wente_index.bounds import default_m, full_report
@@ -152,9 +153,7 @@ def _fold_case(ell, n, m):
 @pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
 def test_sector_blocks_are_their_own_mirror_images(ell, n, m):
     # the fold reads one row per mirror pair, so each sector block of b must
-    # be its own mirror image bit for bit; alpha of two partners may differ
-    # in its last bits on an even-parity lattice (6/5, 8/5 and 12/7 at their
-    # default m), which the fold rounds to the representative's
+    # be its own mirror image bit for bit, and mirror partners share alpha
     matrix = _fold_case(ell, n, m)
     basis = matrix.basis
     partner, sign = mirror_partners(basis)
@@ -164,7 +163,25 @@ def test_sector_blocks_are_their_own_mirror_images(ell, n, m):
         block = b[np.ix_(pos, pos)]
         image = b[np.ix_(partner[pos], partner[pos])] * np.outer(sign[pos], sign[pos])
         assert np.array_equal(image, block)
-    assert np.all(np.abs(basis.alpha[partner] - basis.alpha) <= 4 * np.spacing(basis.alpha))
+    assert np.array_equal(basis.alpha[partner], basis.alpha)
+
+
+@pytest.mark.parametrize("ell,n", [(6, 5), (8, 5), (12, 7)], ids=["6/5", "8/5", "12/7"])
+def test_closed_sector_blocks_of_a_m_are_their_own_mirror_images(ell, n):
+    # diagonal included: on these even-parity lattices the lattice-mode
+    # frequency formula gave partners alphas a last bit apart
+    p = catalog_surface(ell, n)
+    basis = enumerate_basis(lattice(p), default_m(p))
+    partner, sign = mirror_partners(basis)
+    a = stability_matrix(potential_field(p, basis, AssemblyConfig()), basis)
+    closed = 0
+    for pos in sector_positions(basis, n):
+        if np.all(partner[pos] >= 0):
+            block = a[np.ix_(pos, pos)]
+            image = sign[pos, None] * a[np.ix_(partner[pos], partner[pos])] * sign[pos]
+            assert np.array_equal(image, block)
+            closed += 1
+    assert closed > 0
 
 
 @pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)

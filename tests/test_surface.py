@@ -105,8 +105,10 @@ class TestPotential:
         x = rng.uniform(0, 5, size=40)
         y = rng.uniform(0, 5, size=40)
         base = potential(p, x, y)
-        np.testing.assert_allclose(potential(p, x + lat.a1, y + lat.a2), base, rtol=1e-10)
-        np.testing.assert_allclose(potential(p, x + lat.b1, y + lat.b2), base, rtol=1e-10)
+        # generators (width, 0) or (width / 2, height / 2), and (0, height)
+        shift = (lat.width, 0.0) if lat.parity == "odd" else (0.5 * lat.width, 0.5 * lat.height)
+        np.testing.assert_allclose(potential(p, x + shift[0], y + shift[1]), base, rtol=1e-10)
+        np.testing.assert_allclose(potential(p, x, y + lat.height), base, rtol=1e-10)
 
     @pytest.mark.parametrize("surface", ["w32", "w43"])
     def test_half_period_reflections(self, surface, rng, request):
@@ -155,15 +157,16 @@ class TestLattice:
     def test_odd_parity_rectangular(self, w32):
         lat = lattice(w32)
         assert lat.parity == "odd"
-        assert (lat.a1, lat.a2) == (2 * w32.x_period, 0.0)
-        assert (lat.b1, lat.b2) == (0.0, w32.y_period)
+        assert (lat.width, lat.height) == (2 * w32.x_period, w32.y_period)
+        assert lat.cell_area == lat.width * lat.height
 
     def test_even_parity_sheared(self, w43):
         lat = lattice(w43)
         assert lat.parity == "even"
-        assert lat.a1 == pytest.approx(3 * w43.x_period / 2, rel=1e-15)
-        assert lat.a2 == pytest.approx(w43.y_period / 2, rel=1e-15)
-        assert (lat.b1, lat.b2) == (0.0, w43.y_period)
+        assert (lat.width, lat.height) == (3 * w43.x_period, w43.y_period)
+        # the shear (width / 2, height / 2) halves the cell: the generators'
+        # determinant, bit for bit
+        assert lat.cell_area == (0.5 * lat.width) * lat.height - (0.5 * lat.height) * 0.0
 
     def test_positive_cell_area_all_rows(self):
         for ell, n, _ in CATALOG:
