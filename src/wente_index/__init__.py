@@ -29,7 +29,6 @@ from .assembly import (
     GalerkinMatrix,
     PotentialField,
     assemble,
-    b_matrix,
     sample_potential,
 )
 from .spectrum import SpectrumEstimate, eigen_symmetric
@@ -66,7 +65,6 @@ __all__ = [
     "GalerkinMatrix",
     "PotentialField",
     "assemble",
-    "b_matrix",
     "sample_potential",
     "SpectrumEstimate",
     "eigen_symmetric",

@@ -25,11 +25,12 @@ characters in a real operator): the sine sector gathers nothing and the
 cosine halves count twice.  An even m ends on a sine without its cosine,
 and that sector is solved on its own.
 
-assemble, the only code that enumerates the basis and samples V for the
-index computations, returns the halves.  The dense views (entries,
-principal, b_matrix and stability_matrix on any basis[pos]; published index
-i is position i - 1) gather every pair within a sector through the same
-kernel, gather_pairs, so their bits do not depend on the fold or the twins.
+assemble(p, m, cfg), the only builder of A_m, enumerates the basis, samples
+V over it (or reads the cache) and returns the halves.  The one dense view,
+stability_matrix on a field and any basis[pos] (published index i is
+position i - 1; GalerkinMatrix.entries is it on the whole basis), gathers
+every pair within a sector through the same kernel, gather_pairs, so its
+bits do not depend on the fold or the twins.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "potential_field",
     "mirror_partners",
     "gather_pairs",
-    "b_matrix",
     "stability_matrix",
     "assemble",
     "field_cache_key",
@@ -219,8 +219,8 @@ def _pair_chunks(rows: np.ndarray, row_counts, cols: np.ndarray, col_counts):
         a, begin = b, int(ends[b - 1])
 
 
-def gather_pairs(fld: PotentialField, basis: Basis, chunks, form=False):
-    """(at, i, j, b) per chunk (at, i, j): b_ij, or with form alpha_i delta_ij - b_ij, at pairs (i[k], j[k]).
+def gather_pairs(fld: PotentialField, basis: Basis, chunks):
+    """(at, i, j, a) per chunk (at, i, j): a = alpha_i delta_ij - b_ij at pairs (i[k], j[k]).
 
     A same-phase pair reduces to the cosine coefficients at the wave
     difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
@@ -237,31 +237,22 @@ def gather_pairs(fld: PotentialField, basis: Basis, chunks, form=False):
         at, other = shifted[i], code[j]
         diff, total = _read(fld, table, width, at - other), _read(fld, table, width, at + other)
         np.negative(total, out=total, where=basis.sine[i])
-        b = basis.norm[i] * basis.norm[j] * fld.area * (0.5 * (diff + total))
-        if form:
-            np.negative(b, out=b)
-            diagonal = np.flatnonzero(i == j)
-            b[diagonal] += basis.alpha[i[diagonal]]
-        yield part, i, j, b
-
-
-def _dense(fld: PotentialField, basis: Basis, form: bool) -> np.ndarray:
-    """The matrix from one gather within sectors; between them -0.0 (+0.0 in b) in a phase, +0.0 across."""
-    _, order, sizes = _sectors(basis, fld.surface.n)
-    out = np.where(basis.sine[:, None] == basis.sine, -0.0 if form else 0.0, 0.0)
-    for _, i, j, b in gather_pairs(fld, basis, _pair_chunks(order, sizes, order, sizes), form):
-        out[i, j] = b
-    return out
-
-
-def b_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
-    """b_ij = integral of V u_i u_j for every pair of functions of the basis."""
-    return _dense(fld, basis, form=False)
+        a = basis.norm[i] * basis.norm[j] * fld.area * (-0.5 * (diff + total))
+        diagonal = np.flatnonzero(i == j)
+        a[diagonal] += basis.alpha[i[diagonal]]
+        yield part, i, j, a
 
 
 def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
-    """alpha_i delta_ij - b_ij on the span of the basis (distinct functions), symmetric bit for bit."""
-    return _dense(fld, basis, form=True)
+    """alpha_i delta_ij - b_ij on the span of the basis (distinct functions), symmetric bit for bit.
+
+    One gather within sectors; between sectors -0.0 in a phase, +0.0 across.
+    """
+    _, order, sizes = _sectors(basis, fld.surface.n)
+    out = np.where(basis.sine[:, None] == basis.sine, -0.0, 0.0)
+    for _, i, j, a in gather_pairs(fld, basis, _pair_chunks(order, sizes, order, sizes)):
+        out[i, j] = a
+    return out
 
 
 # Rows gathered against their sector; the half sizes, ascending, and their copies; per half member (half
@@ -314,8 +305,8 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
     """
     chunks = _pair_chunks(plan.rows, plan.row_counts, plan.order, plan.sizes)
     flat = np.empty(int(plan.row_counts @ plan.sizes))
-    for at, _, _, b in gather_pairs(fld, basis, chunks, form=True):
-        flat[at] = b
+    for at, _, _, a in gather_pairs(fld, basis, chunks):
+        flat[at] = a
     sizes, counts = np.unique(plan.half_sizes, return_counts=True)
     stacks, first = [], 0
     copies = np.split(plan.copies, np.cumsum(counts)[:-1])
@@ -332,7 +323,7 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
 
 @dataclass(frozen=True)
 class GalerkinMatrix:
-    """A_m as its reflection halves, stacks of (count, k, k) ascending in k; dense views regather from fld."""
+    """A_m as its reflection halves, stacks of (count, k, k) ascending in k; entries regathers from fld."""
 
     m: int
     stacks: tuple[np.ndarray, ...]
@@ -345,10 +336,6 @@ class GalerkinMatrix:
         """The dense m x m matrix (8 m^2 bytes, outside the guard), regathered in row chunks on each access."""
         return stability_matrix(self.fld, self.basis)
 
-    def principal(self, pos) -> np.ndarray:
-        """The principal submatrix at distinct positions pos, bit for bit that slice of entries."""
-        return stability_matrix(self.fld, self.basis[np.asarray(pos, dtype=np.intp)])
-
 
 def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest) -> None:
     """ParameterError when gathering that many pairs would not fit in physical memory."""
@@ -360,19 +347,13 @@ def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest) -> None:
         )
 
 
-def assemble(
-    p: SurfaceParams,
-    m: int,
-    cfg: AssemblyConfig | None = None,
-    fld: PotentialField | None = None,
-) -> GalerkinMatrix:
+def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> GalerkinMatrix:
     """Assemble the m x m truncation of -Laplacian - V as its reflection halves.
 
-    A prebuilt field may be passed to reuse one potential pass across calls;
-    otherwise one covering the basis is sampled, or read from the cache.
-    An m whose gathered pairs would not fit in physical memory raises
-    ParameterError before V is sampled or any entry gathered; one that
-    cannot fit whatever the sectors raises it before the basis is enumerated.
+    V is sampled over the basis, or read from the cache.  An m whose
+    gathered pairs would not fit in physical memory raises ParameterError
+    before V is sampled or any entry gathered; one that cannot fit whatever
+    the sectors raises it before the basis is enumerated.
     """
     # wave_x classes 0..n up to sign, two wave_y parities and two phases make
     # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
@@ -385,8 +366,7 @@ def assemble(
     plan = _fold_plan(basis, p.n)
     sizes = plan.sizes
     _refuse_beyond_memory(m, int(plan.row_counts @ sizes), f"{len(sizes)} symmetry blocks", max(sizes))
-    if fld is None:
-        fld = potential_field(p, basis, cfg or AssemblyConfig())
+    fld = potential_field(p, basis, cfg or AssemblyConfig())
     stacks, copies = _half_stacks(fld, basis, plan)
     return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld)
 
@@ -467,7 +447,7 @@ def cached_sample_potential(
     """sample_potential with a directory-backed cache of coefficient tables.
 
     A missing or unreadable file is a miss: the table is sampled again and
-    the file rewritten.
+    the file rewritten; an unusable directory raises ParameterError first.
     """
     if cache_dir is None:
         return sample_potential(p, nx, ny, pmax, qmax)
@@ -481,7 +461,10 @@ def cached_sample_potential(
         fld = None
     if fld is not None and field_cache_key(fld.surface, fld.nx, fld.ny) == key and fld.coeffs.shape == shape:
         return fld
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cache directory {cache_dir} is unusable: {exc.strerror}") from exc
     fld = sample_potential(p, nx, ny, pmax, qmax)
-    path.parent.mkdir(parents=True, exist_ok=True)
     write_field_cache(fld, path)
     return fld

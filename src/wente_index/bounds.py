@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import AssemblyConfig, GalerkinMatrix, assemble
+from .assembly import AssemblyConfig, GalerkinMatrix, assemble, stability_matrix
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
 from .basis import count_alpha_below, shell_complete_size, shells_holding
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
@@ -110,12 +110,12 @@ def subspace_bound(
 ) -> SubspaceVerdict:
     """Check negative definiteness of the restricted form on the given span.
 
-    The restriction to the 1-based basis indices is a principal submatrix
-    of a stability matrix over the first M >= max(indices) basis functions,
-    scattered from the sector blocks it meets: form when it is that large,
-    otherwise A_M assembled at the smallest shell-complete M.  A negative
-    definite N-dimensional restriction implies Ind >= N - 1 (one dimension
-    can be lost to the volume constraint).
+    The restriction to the 1-based basis indices is the stability matrix on
+    those functions over the field of form when form holds them, otherwise
+    of A_M assembled at the smallest shell-complete M >= max(indices): bit
+    for bit a principal submatrix of A_M.  A negative definite N-dimensional
+    restriction implies Ind >= N - 1 (one dimension can be lost to the
+    volume constraint).
     """
     indices = tuple(int(i) for i in indices)
     if not indices:
@@ -126,7 +126,7 @@ def subspace_bound(
         raise ParameterError("basis indices are 1-based")
     if form is None or form.m < max(indices):
         form = assemble(p, default_m(p, max(indices)), cfg)
-    mat = form.principal([i - 1 for i in indices])
+    mat = stability_matrix(form.fld, form.basis[np.array(indices) - 1])
     top = float(eigen_symmetric(mat).eigenvalues[-1])
     definite = top < 0.0
     return SubspaceVerdict(

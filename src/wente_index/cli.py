@@ -437,7 +437,12 @@ def cmd_cache(args) -> int:
     directory = _cache_dir(args)
     if directory is None:
         raise UsageError(f"no cache directory; pass --cache-dir or set {ENV_CACHE_DIR}")
-    entries = sorted(directory.glob("*.wntpot")) if directory.exists() else []
+    try:
+        entries = sorted(path for path in directory.iterdir() if path.name.endswith(".wntpot"))
+    except FileNotFoundError:
+        entries = []
+    except OSError as exc:
+        raise UsageError(f"cache directory {directory} is unusable: {exc.strerror}") from exc
     if args.action == "inspect":
         rows = []
         for path in entries:

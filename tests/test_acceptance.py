@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from wente_index.assembly import AssemblyConfig, assemble, b_matrix, potential_field
+from wente_index.assembly import AssemblyConfig, assemble, potential_field, stability_matrix
 from wente_index.basis import enumerate_basis
 from wente_index.bounds import (
     SUBSPACE_SETS,
@@ -198,7 +198,7 @@ def test_criterion_7_route_equivalence():
         m = 85 if p.ell % 2 == 1 else 81
         basis = enumerate_basis(lattice(p), m)
         fld = potential_field(p, basis, AssemblyConfig(nx=64, ny=64))
-        gathered = b_matrix(fld, basis)
+        gathered = np.diag(basis.alpha) - stability_matrix(fld, basis)
         for _ in range(50):
             i, j = (int(v) for v in rng.integers(0, m, size=2))
             bf = gathered[i, j]

@@ -10,11 +10,11 @@ from wente_index.assembly import (
     NyquistError,
     PotentialField,
     assemble,
-    b_matrix,
     potential_field,
     field_cache_key,
     read_field_cache,
     sample_potential,
+    stability_matrix,
     write_field_cache,
     cached_sample_potential,
 )
@@ -30,8 +30,10 @@ W32_CERTIFIED_DIAGONAL = (-9.50, -7.99, -7.99, -1.36, -13.2, -8.70, -5.76, -5.76
 
 
 def _entry(fld, basis, i, j):
-    """One entry b_ij at basis positions i, j through the matrix kernel."""
-    return float(b_matrix(fld, basis[[i, j]])[0, 1])
+    """One entry b_ij at basis positions i, j through the matrix kernel: alpha_i delta_ij - A_ij."""
+    if i == j:
+        return float(basis.alpha[i] - stability_matrix(fld, basis[[i]])[0, 0])
+    return float(-stability_matrix(fld, basis[[i, j]])[0, 1])
 
 
 def _loop_assemble(fld, basis):
@@ -142,9 +144,9 @@ class TestSampling:
     def test_coefficient_range_error(self, w32):
         fld = sample_potential(w32, 128, 128, pmax=0, qmax=2)
         basis = enumerate_basis(lattice(w32), 13)
-        b_matrix(fld, basis[4:5])  # wave (0, 1): its sums stay within the table
+        stability_matrix(fld, basis[4:5])  # wave (0, 1): its sums stay within the table
         with pytest.raises(CoefficientRangeError):
-            b_matrix(fld, basis[5:6])  # wave (2, 0): sum (4, 0) is cell frequency (1, 0)
+            stability_matrix(fld, basis[5:6])  # wave (2, 0): sum (4, 0) is cell frequency (1, 0)
 
 
 class TestEntries:
@@ -214,10 +216,13 @@ class TestEntries:
 
 
 class TestAssemble:
-    def test_zero_potential_gives_diagonal(self, w32):
+    def test_zero_potential_gives_diagonal(self, w32, monkeypatch):
+        import wente_index.assembly as assembly_mod
+
         basis = enumerate_basis(lattice(w32), 13)
         fld, _ = _constant_field(w32, 0.0)
-        mat = assemble(w32, 13, AssemblyConfig(nx=128, ny=128), fld=fld)
+        monkeypatch.setattr(assembly_mod, "potential_field", lambda *args: fld)
+        mat = assemble(w32, 13, AssemblyConfig(nx=128, ny=128))
         np.testing.assert_array_equal(mat.entries, np.diag(basis.alpha))
 
     def test_symmetric_bit_exact(self, w32, fast_cfg):
@@ -249,9 +254,9 @@ class TestAssemble:
     def test_matches_scalar_reference(self, surface, m, request):
         p = request.getfixturevalue(surface)
         basis = enumerate_basis(lattice(p), m)
-        fld = potential_field(p, basis, AssemblyConfig(nx=256, ny=256))
-        got = assemble(p, m, fld=fld).entries
-        expected = _loop_assemble(fld, basis)
+        matrix = assemble(p, m, AssemblyConfig(nx=256, ny=256))
+        got = matrix.entries
+        expected = _loop_assemble(matrix.fld, basis)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -339,10 +344,10 @@ class TestAssemble:
         for p, m in ((w32, 41), (w43, 49)):
             basis = enumerate_basis(lattice(p), m)
             fld = potential_field(p, basis, AssemblyConfig(nx=256, ny=256))
-            b_matrix(fld, basis)
+            stability_matrix(fld, basis)
             widest = np.argmax(np.abs(basis.wave_y), keepdims=True)
             with pytest.raises(CoefficientRangeError):
-                b_matrix(dataclasses.replace(fld, coeffs=fld.coeffs[:, :-1]), basis[widest])
+                stability_matrix(dataclasses.replace(fld, coeffs=fld.coeffs[:, :-1]), basis[widest])
 
 
 class TestCache:
@@ -363,7 +368,7 @@ class TestCache:
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 13)
-        assert np.array_equal(b_matrix(loaded, basis), b_matrix(fld, basis))
+        assert np.array_equal(stability_matrix(loaded, basis), stability_matrix(fld, basis))
 
     def test_quadrature_on_a_loaded_field_samples_the_same_grid(self, w32, tmp_path):
         # the cache stores no samples; the oracle samples the cell grid itself

@@ -384,6 +384,30 @@ class TestCache:
         assert code == 0 and json.loads(out)["rows"]
         assert not (tmp_path / "env").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "argv", [("report", "--surface", "3/2", "--m", "41"), ("cache", "inspect"), ("cache", "clear")],
+        ids=["report", "inspect", "clear"],
+    )
+    def test_unusable_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, under, source):
+        # a file, or a path under one, cannot hold the cache: one error line naming it, exit 2
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"not a directory")
+        target = str(blocker / "x" if under else blocker)
+        monkeypatch.delenv("WENTE_CACHE_DIR", raising=False)
+        if source == "env":
+            monkeypatch.setenv("WENTE_CACHE_DIR", target)
+        else:
+            argv = (*argv, "--cache-dir", target)
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cache directory {target} is unusable: ") and err.count("\n") == 1
+        assert blocker.read_bytes() == b"not a directory"
+
     def test_cache_without_dir_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("WENTE_CACHE_DIR", raising=False)
         with pytest.raises(SystemExit) as info:

@@ -17,14 +17,7 @@ import pytest
 
 import wente_index.assembly as assembly_mod
 import wente_index.basis as basis_mod
-from wente_index.assembly import (
-    AssemblyConfig,
-    assemble,
-    b_matrix,
-    mirror_partners,
-    potential_field,
-    stability_matrix,
-)
+from wente_index.assembly import AssemblyConfig, assemble, mirror_partners, potential_field, stability_matrix
 from wente_index.basis import enumerate_basis
 from wente_index.bounds import default_m, full_report
 from wente_index.cli import main
@@ -77,10 +70,8 @@ def _twinned(matrix):
 
 @functools.lru_cache(maxsize=None)
 def _case(ell, n, m):
-    p = catalog_surface(ell, n)
-    basis = enumerate_basis(lattice(p), m)
-    fld = potential_field(p, basis, AssemblyConfig())
-    return assemble(p, m, fld=fld), _dense_gather(fld, basis)
+    matrix = assemble(catalog_surface(ell, n), m)
+    return matrix, _dense_gather(matrix.fld, matrix.basis)
 
 
 @pytest.mark.parametrize("ell,n,m", CASES, ids=IDS)
@@ -135,9 +126,10 @@ def test_merged_spectrum_matches_the_dense_one(ell, n, m):
 
 
 def test_principal_is_the_slice_of_entries():
+    # the dense view on a sub-basis, as subspace_bound reads it, is that principal submatrix of entries
     matrix, _ = _case(13, 7, 181)
     pos = np.array([180, 3, 0, 77, 12, 13])
-    sub = matrix.principal(pos)
+    sub = stability_matrix(matrix.fld, matrix.basis[pos])
     expected = matrix.entries[np.ix_(pos, pos)]
     assert np.array_equal(sub, expected)
     assert np.array_equal(np.signbit(sub), np.signbit(expected))
@@ -145,23 +137,23 @@ def test_principal_is_the_slice_of_entries():
 
 @functools.lru_cache(maxsize=None)
 def _fold_case(ell, n, m):
-    p = catalog_surface(ell, n)
-    basis = enumerate_basis(lattice(p), m)
-    return assemble(p, m, fld=potential_field(p, basis, AssemblyConfig()))
+    return assemble(catalog_surface(ell, n), m)
 
 
 @pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
 def test_sector_blocks_are_their_own_mirror_images(ell, n, m):
-    # the fold reads one row per mirror pair, so each sector block of b must
-    # be its own mirror image bit for bit, and mirror partners share alpha
+    # the fold reads one row per mirror pair, so each sector block of A_m
+    # must be its own mirror image bit for bit, diagonal included (on the
+    # even-parity lattices a lattice-mode frequency formula once gave
+    # partners alphas a last bit apart), and mirror partners share alpha
     matrix = _fold_case(ell, n, m)
     basis = matrix.basis
     partner, sign = mirror_partners(basis)
     assert np.all(partner >= 0)
-    b = b_matrix(matrix.fld, basis)
+    a = matrix.entries
     for pos in sector_positions(basis, n):
-        block = b[np.ix_(pos, pos)]
-        image = b[np.ix_(partner[pos], partner[pos])] * np.outer(sign[pos], sign[pos])
+        block = a[np.ix_(pos, pos)]
+        image = sign[pos, None] * a[np.ix_(partner[pos], partner[pos])] * sign[pos]
         assert np.array_equal(image, block)
     assert np.array_equal(basis.alpha[partner], basis.alpha)
 
@@ -302,20 +294,21 @@ def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
 @pytest.mark.parametrize("ell,n,m", [(3, 2, 2113), (4, 3, 2025), (3, 2, 4325)], ids=["3/2@2113", "4/3@2025", "3/2@4325"])
 def test_guard_charges_no_less_than_the_measured_peak(monkeypatch, ell, n, m):
     # the guard refuses any memory below the tracemalloc peak of the
-    # gather it guards, and admits twice that peak
+    # gather it guards (V sampled beforehand), and admits twice that peak
     p = catalog_surface(ell, n)
     fld = potential_field(p, enumerate_basis(lattice(p), m), AssemblyConfig())
+    monkeypatch.setattr(assembly_mod, "potential_field", lambda *args: fld)
     tracemalloc.start()
     try:
-        assemble(p, m, fld=fld)
+        assemble(p, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: peak - 1)
     with pytest.raises(ParameterError, match=f"m = {m} needs about"):
-        assemble(p, m, fld=fld)
+        assemble(p, m)
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 2 * peak)
-    assert _functions(assemble(p, m, fld=fld)) == m
+    assert _functions(assemble(p, m)) == m
 
 
 @pytest.mark.filterwarnings("ignore:basis size")
@@ -329,10 +322,9 @@ def test_row_chunks_gather_the_bits_of_one_gather(monkeypatch, ell, n, m, chunk)
     # the dense entries, signed zeros included, of a single gather
     p = catalog_surface(ell, n)
     basis = enumerate_basis(lattice(p), m)
-    fld = potential_field(p, basis, AssemblyConfig())
 
     def gathered():
-        matrix = assemble(p, m, fld=fld)
+        matrix = assemble(p, m)
         dense = matrix.entries.tobytes() if m == 181 else None
         return [s.tobytes() for s in matrix.stacks], [c.tolist() for c in matrix.copies], dense
 

@@ -51,8 +51,8 @@ def test_every_traced_name_resolves():
 )
 def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell, n, m, enumerations):
     # gather_pairs is the one kernel pass behind a matrix: assemble's
-    # reflection halves and each dense view (stability_matrix, here the
-    # subspace restriction) call it once
+    # reflection halves and the dense view (stability_matrix, which
+    # subspace_bound calls for its restriction) call it once
     calls = {"enumerate_basis": 0, "cached_sample_potential": 0, "gather_pairs": 0, "stability_matrix": 0}
 
     def counting(name, orig):
@@ -64,7 +64,8 @@ def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell,
 
     for name in calls:
         monkeypatch.setattr(assembly_mod, name, counting(name, getattr(assembly_mod, name)))
-    monkeypatch.setattr(bounds_mod, "enumerate_basis", counting("enumerate_basis", bounds_mod.enumerate_basis))
+    for name in ("enumerate_basis", "stability_matrix"):
+        monkeypatch.setattr(bounds_mod, name, counting(name, getattr(bounds_mod, name)))
     full_report(catalog_surface(ell, n), m)
     assert calls == {
         "enumerate_basis": enumerations,
