@@ -14,7 +14,11 @@ basis splits into an even and an odd half in the orthonormal basis
 (u_i +- u_Ri) / sqrt(2) (Fassler & Stiefel, ch. 5).  The fold is exact:
 b_ij reads the waves only through |w_i -+ w_j| componentwise and alpha
 through the squares of their frequencies, so A_{Ri,Rj} = sign_i sign_j
-A_ij bit for bit and one row per mirror pair is gathered.
+A_ij bit for bit, and gather_pairs makes A_ij and A_ji the same bits.  So
+one row per mirror pair is gathered, from its own column on, with the
+columns ordered as each representative followed by its partner: every
+unordered in-half pair is read once, and each half is folded on its upper
+triangle and mirrored.
 
 A class c = min(a mod 2n, -a mod 2n) other than 0 and n is complex: for two
 functions of its sectors one of w_i -+ w_j has x wave +-2c mod 2n, off the
@@ -68,13 +72,14 @@ __all__ = [
 # Samples per period cell; resolves every catalogued potential (and theta up
 # to 24.5 degrees) to about 1e-11 relative.
 DEFAULT_GRID = 256
-# Peak bytes of assemble per gathered pair (a gathered row against one function of its sector: the flat
-# gather, the stacks and their fold) beyond one chunk of gather_pairs.  tracemalloc reads 20.8, 21.0 and
-# 24.5 bytes per pair in all at 3/2@8065, 4/3@6001 and 4/3@4325; the rest is headroom.
-SECTOR_PAIR_BYTES = 26
-_CHUNK_PAIRS = 1 << 15
-# One chunk's index arrays, wave sums and their coefficients, about 70 bytes per pair; the guard counts 80.
-_CHUNK_BYTES = 80 * _CHUNK_PAIRS
+# Peak bytes of assemble per gathered pair (a gathered row against one column of its sector at or after its
+# own: the flat gather and the stacks it folds into) beyond one chunk.  tracemalloc reads 25.5, 25.9 and 26.7
+# bytes per pair in all at 3/2@8065, 4/3@6001 and 4/3@4325; the rest is headroom.
+SECTOR_PAIR_BYTES = 28
+_CHUNK_PAIRS = 1 << 14
+# One chunk's index arrays, wave sums and their coefficients, or its folded entries: tracemalloc reads 74 to 90
+# bytes per pair; the guard counts 100.
+_CHUNK_BYTES = 100 * _CHUNK_PAIRS
 
 
 class CoefficientRangeError(ValueError):
@@ -201,15 +206,13 @@ def mirror_partners(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     return partner, np.where((a == 0) & sine, -1.0, 1.0)
 
 
-def _pair_chunks(rows: np.ndarray, row_counts, cols: np.ndarray, col_counts):
-    """(at, i, j) over every row and column of each group, group after group, row-major, in chunks of whole rows.
+def _pair_chunks(rows: np.ndarray, first: np.ndarray, width: np.ndarray, cols: np.ndarray):
+    """(at, i, j) for each row i = rows[r] against cols[first[r]:first[r] + width[r]], row after row, in chunks of whole rows.
 
     at is the chunk's slice of the whole; a chunk holds at most _CHUNK_PAIRS pairs, or one row.
-    A row's entries start at ends - width and read cols from its group's first.
     """
-    width = np.repeat(col_counts, row_counts)
     ends = np.cumsum(width)
-    shift = np.repeat(np.cumsum(col_counts) - col_counts, row_counts) - ends + width
+    shift = first - ends + width
     a = begin = 0
     while a < len(rows):
         b = max(a + 1, int(np.searchsorted(ends, begin + _CHUNK_PAIRS, side="right")))
@@ -250,14 +253,16 @@ def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
     """
     _, order, sizes = _sectors(basis, fld.surface.n)
     out = np.where(basis.sine[:, None] == basis.sine, -0.0, 0.0)
-    for _, i, j, a in gather_pairs(fld, basis, _pair_chunks(order, sizes, order, sizes)):
+    chunks = _pair_chunks(order, np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes), order)
+    for _, i, j, a in gather_pairs(fld, basis, chunks):
         out[i, j] = a
     return out
 
 
-# Rows gathered against their sector; the half sizes, ascending, and their copies; per half member (half
-# after half): its row's offset in the gather, its column and its mirror's, its sign (+1 even, -1 odd, 0 self).
-_Fold = namedtuple("_Fold", "rows row_counts order sizes half_sizes copies offset col mirror sign")
+# Gathered rows, each against cols[first:first + width]; the sector sizes; the half sizes, ascending, and their
+# copies; per half member (half after half): base, with flat[base + place] its row's entry at a column's place in
+# cols, its own place and its mirror's, its sign (+1 even, -1 odd, 0 self) and 1.0 for a pair member (0.0 self).
+_Fold = namedtuple("_Fold", "rows first width cols sizes half_sizes copies base place mirror sign pair")
 
 
 def _fold_plan(basis: Basis, n: int) -> _Fold:
@@ -266,23 +271,32 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     A closed sector gathers the rows of its representatives (a pair member
     whose partner comes later, or a self-mirror) and splits into an even
     half (the pairs and the self-mirrors of sign +1) and an odd one (the
-    pairs and those of sign -1).  The sine sector of a complex class that
-    holds the cosine sector's modes gathers nothing: the cosine sector's
-    halves count twice.  No array has more entries than the basis.
+    pairs and those of sign -1).  Its columns run representative, partner,
+    representative, ... by the representatives' positions, and each row
+    reads only from its own column on: the in-half pairs of the
+    representatives at or after it, so each unordered pair is read once.  A
+    sector kept whole is its own representatives and reads its upper
+    triangle.  The sine sector of a complex class that holds the cosine
+    sector's modes gathers nothing: the cosine sector's halves count twice.
+    No array has more entries than the basis.
     """
-    key, order, sizes = _sectors(basis, n)
+    key, _, sizes = _sectors(basis, n)
     partner, mirror_sign = mirror_partners(basis)
-    here, starts = np.arange(len(basis)), np.cumsum(sizes) - sizes
+    here = np.arange(len(basis))
     closed = np.bincount(key[partner < 0], minlength=key.max() + 1)[key] == 0
     mirror = np.where(closed, partner, here)
     # a cosine sector holds the cosines of a subset of its sine sector's modes, all of them when the sizes agree
     cls, per_key = np.arange(key.max() + 2), np.bincount(key, minlength=key.max() + 2)
     twin = (cls % 2 == 1) & (cls // 4 % n != 0) & (per_key == np.roll(per_key, 1))
     pair, row = mirror != here, (mirror >= here) & ~twin[key]
-    rows, row_counts = order[row[order]], np.add.reduceat(row[order], starts, dtype=np.intp)
-    offset, col = np.zeros_like(here), np.empty_like(here)
-    offset[rows] = np.cumsum(np.repeat(sizes, row_counts)) - np.repeat(sizes, row_counts)
-    col[order] = here - np.repeat(starts, sizes)
+    cols = np.argsort((key * len(here) + np.minimum(mirror, here)) * 2 + (mirror < here))
+    place = np.empty_like(here)
+    place[cols] = here
+    rows = cols[row[cols]]
+    first = place[rows]
+    width = np.repeat(np.cumsum(sizes), sizes)[first] - first
+    base = np.empty_like(here)
+    base[rows] = np.cumsum(width) - width - first
     even = np.flatnonzero(row & (pair | (mirror_sign > 0) | ~closed))
     odd = np.flatnonzero(row & closed & (pair | (mirror_sign < 0)))
     members = np.concatenate([even, odd])
@@ -292,8 +306,8 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     members, half = members[pick], half[pick]
     halves = np.argsort(counts, kind="stable")[-np.count_nonzero(counts):]
     sign = np.where(pair[members], 1.0 - 2.0 * (half % 2), 0.0)
-    member = offset[members], col[members], col[mirror[members]]
-    return _Fold(rows, row_counts, order, sizes, counts[halves], 1 + twin[halves // 2 + 1], *member, sign)
+    member = base[members], place[members], place[mirror[members]], sign, pair[members].astype(float)
+    return _Fold(rows, first, width, cols, sizes, counts[halves], 1 + twin[halves // 2 + 1], *member)
 
 
 def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[np.ndarray, ...], tuple]:
@@ -302,23 +316,30 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
     In the basis (u_i +- u_Ri) / sqrt(2) of a pair and u_i of a self-mirror,
     with X = A[i, j] and Y = A[i, R j]: a pair-pair entry is X + Y in the
     even half and X - Y in the odd one, pair-self sqrt(2) X, self-self X.
+    The halves are symmetric bit for bit: each member's row is folded from
+    the diagonal on, in the chunks of the gather, and mirrored.  The halves
+    lie row after row in one array, a member's row at row_at.
     """
-    chunks = _pair_chunks(plan.rows, plan.row_counts, plan.order, plan.sizes)
-    flat = np.empty(int(plan.row_counts @ plan.sizes))
-    for at, _, _, a in gather_pairs(fld, basis, chunks):
+    flat = np.empty(int(plan.width.sum()))
+    for at, _, _, a in gather_pairs(fld, basis, _pair_chunks(plan.rows, plan.first, plan.width, plan.cols)):
         flat[at] = a
+    k = np.repeat(plan.half_sizes, plan.half_sizes)
+    members, row_at = np.arange(len(k)), np.cumsum(k) - k
+    local = members - np.repeat(np.cumsum(plan.half_sizes) - plan.half_sizes, plan.half_sizes)
+    out = np.empty(int(k.sum()))
+    for _, i, j in _pair_chunks(members, members, k - local, members):
+        at = plan.base[i]
+        x = flat[at + plan.place[j]]
+        pair = plan.pair[i]
+        x *= np.where(pair == plan.pair[j], 1.0, np.sqrt(2.0))
+        at += plan.mirror[j]
+        x += flat[at] * (pair * plan.sign[j])
+        out[row_at[i] + local[j]] = x
+        out[row_at[j] + local[i]] = x
     sizes, counts = np.unique(plan.half_sizes, return_counts=True)
-    stacks, first = [], 0
-    copies = np.split(plan.copies, np.cumsum(counts)[:-1])
-    for k, g in zip(sizes.tolist(), counts.tolist()):
-        at, first = slice(first, first + g * k), first + g * k
-        start, sign = plan.offset[at].reshape(g, k, 1), plan.sign[at].reshape(g, k)
-        pair = np.abs(sign)
-        x = flat[start + plan.col[at].reshape(g, 1, k)]
-        x *= np.where(pair[:, :, None] == pair[:, None, :], 1.0, np.sqrt(2.0))
-        x += flat[start + plan.mirror[at].reshape(g, 1, k)] * (pair[:, :, None] * sign[:, None, :])
-        stacks.append(x)
-    return tuple(stacks), tuple(copies)
+    ends = np.cumsum(counts * sizes * sizes)
+    stacks = [part.reshape(-1, size, size) for part, size in zip(np.split(out, ends[:-1]), sizes.tolist())]
+    return tuple(stacks), tuple(np.split(plan.copies, np.cumsum(counts)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -358,14 +379,15 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
     # wave_x classes 0..n up to sign, two wave_y parities and two phases make
     # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
     # in-sector pairs; gathered sectors hold at least half (a skipped twin is
-    # as large as its cosine) and read at least half of their rows
+    # as large as its cosine), and a sector of s functions reads at least
+    # s^2 / 4: the i-th representative's row starts at column 2i at most
     most = 4 * (p.n + 1)
-    least = m * m / (4 * most)
+    least = m * m / (8 * most)
     _refuse_beyond_memory(m, least, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     basis = enumerate_basis(lattice(p), m)
     plan = _fold_plan(basis, p.n)
     sizes = plan.sizes
-    _refuse_beyond_memory(m, int(plan.row_counts @ sizes), f"{len(sizes)} symmetry blocks", max(sizes))
+    _refuse_beyond_memory(m, int(plan.width.sum()), f"{len(sizes)} symmetry blocks", max(sizes))
     fld = potential_field(p, basis, cfg or AssemblyConfig())
     stacks, copies = _half_stacks(fld, basis, plan)
     return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld)

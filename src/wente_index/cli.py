@@ -438,7 +438,7 @@ def cmd_cache(args) -> int:
     if directory is None:
         raise UsageError(f"no cache directory; pass --cache-dir or set {ENV_CACHE_DIR}")
     try:
-        entries = sorted(path for path in directory.iterdir() if path.name.endswith(".wntpot"))
+        entries = sorted(path for path in directory.iterdir() if path.name.endswith(".wntpot") and path.is_file())
     except FileNotFoundError:
         entries = []
     except OSError as exc:

@@ -298,15 +298,18 @@ class TestAssemble:
         # a sector closed under the mirror gathers the rows of one function
         # per mirror pair and of each self-mirror, an open one every row; the
         # sine sector of a complex class (wave_x = +-1 mod 4) whose functions
-        # all have their cosines gathers none
+        # all have their cosines gathers none.  A row reads the functions
+        # whose pair (or self) comes at or after its own: a pair is one read
+        # with its partner, so each unordered in-half pair is read once
         pairs = 0
         for s in sector_positions(basis, w32.n):
             if basis.sine[s[0]] and basis.wave_x[s[0]] % 2 == 1 and s[-1] + 1 < len(basis):
                 continue
             closed = np.all(partner[s] >= 0)
-            pairs += len(s) * (int(np.sum(partner[s] >= s)) if closed else len(s))
-        # the guard charges those pairs and one gather_pairs chunk, 3.53 MB; before
-        # enumerating it charges the floor of 1013^2 / 48 pairs, 3.18 MB
+            first = np.minimum(s, partner[s]) if closed else s
+            pairs += sum(int(np.sum(first >= row)) for row in s[first == s])
+        # the guard charges those pairs (18,316) and one chunk, 2.15 MB; before
+        # enumerating it charges the floor of 1013^2 / 96 pairs, 1.94 MB
         need = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match="m = 1013 needs about"):
@@ -325,9 +328,10 @@ class TestAssemble:
         monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
         # 3/2 has at most 12 sectors, so A_1200 holds at least 1200^2 / 12
         # in-sector pairs; at least half lie in gathered sectors (a skipped
-        # sine twin is as large as its cosine), which gather at least half
-        # their rows, and one gather_pairs chunk: 3.40 MB at SECTOR_PAIR_BYTES = 26
-        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 48 + assembly_mod._CHUNK_BYTES
+        # sine twin is as large as its cosine), which read at least a quarter
+        # of their square from the rows' own columns on, and one chunk: 2.06 MB
+        # at SECTOR_PAIR_BYTES = 28
+        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 96 + assembly_mod._CHUNK_BYTES
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
             assemble(w32, 1200)

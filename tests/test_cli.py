@@ -372,6 +372,22 @@ class TestCache:
         assert "removed 3" in out
         assert not list(tmp_path.glob("*.wntpot"))
 
+    def test_a_directory_named_like_an_entry_is_not_one(self, capsys, tmp_path):
+        # only regular files are cache entries: inspect does not list the
+        # directory, and clear removes the files around it and leaves it
+        run_cli(capsys, "report", "--surface", "3/2", "--m", "41", "--cache-dir", str(tmp_path))
+        (good,) = tmp_path.glob("*.wntpot")
+        (tmp_path / "a_dir.wntpot").mkdir()
+        (tmp_path / "a_dir.wntpot" / "inside").write_bytes(b"kept")
+        code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert [r["file"] for r in json.loads(out)["rows"]] == [good.name]
+        code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert out == f"removed 1 cached table(s) from {tmp_path}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a_dir.wntpot"]
+        assert (tmp_path / "a_dir.wntpot" / "inside").read_bytes() == b"kept"
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("WENTE_CACHE_DIR", str(tmp_path))
         run_cli(capsys, "report", "--surface", "3/2", "--m", "41", "--grid", "256")

@@ -264,6 +264,85 @@ def test_a_sine_sector_without_all_its_cosines_is_solved_on_its_own(ell, n, m):
     assert (est.negative_count, est.uncertain_count) == (whole.negative_count, whole.uncertain_count)
 
 
+def _gathered_rows(basis, n):
+    """(sector, representatives, first) of each gathered sector; first[f] is the position of f's representative.
+
+    A closed sector's representatives are the pair members whose partner
+    comes later and the self-mirrors; an open sector is its own
+    representatives; a complex sine sector with all its cosines is left out.
+    """
+    partner, _ = mirror_partners(basis)
+    twins = {tuple(sine.tolist()) for sine, cosine, _ in _complex_twins(basis, n) if cosine is not None}
+    rows = []
+    for pos in sector_positions(basis, n):
+        if tuple(pos.tolist()) not in twins:
+            first = np.minimum(pos, partner[pos]) if np.all(partner[pos] >= 0) else pos
+            rows.append((pos, pos[first == pos], first))
+    return rows
+
+
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize("ell,n,m", FOLD_CASES + [(3, 2, 100), (4, 3, 52)], ids=FOLD_IDS + ["3/2@100", "4/3@52"])
+def test_halves_are_the_fold_of_the_dense_sector_blocks(ell, n, m):
+    # with X = A[i, j] and Y = A[i, R j] of the dense view over a sector's
+    # representatives, the even half is X + Y between pair members and the
+    # odd one X - Y, sqrt(2) X between a pair member and a self-mirror, X
+    # between self-mirrors; an open sector is its own block.  Halves come
+    # ascending in size, then by sector and parity, bit for bit
+    matrix = _fold_case(ell, n, m)
+    basis, a = matrix.basis, matrix.entries
+    partner, sign = mirror_partners(basis)
+    doubled = {tuple(cosine.tolist()) for _, cosine, _ in _complex_twins(basis, n) if cosine is not None}
+    expected = []
+    for number, (pos, reps, _) in enumerate(_gathered_rows(basis, n)):
+        closed = np.all(partner[pos] >= 0)
+        mirror = partner if closed else np.arange(m)
+        pair = mirror[reps] != reps
+        even, odd = reps[pair | (sign[reps] > 0) | ~closed], reps[closed & (pair | (sign[reps] < 0))]
+        for parity, (mem, h) in enumerate([(even, 1.0), (odd, -1.0)]):
+            if len(mem) == 0:
+                continue
+            x, y, one = a[np.ix_(mem, mem)], a[np.ix_(mem, mirror[mem])], mirror[mem] != mem
+            fold = np.where(one[:, None] & one, x + h * y, np.where(one[:, None] == one, x, np.sqrt(2.0) * x))
+            copies = 2 if tuple(pos.tolist()) in doubled else 1
+            expected.append((len(mem), 2 * number + parity, fold, copies))
+    expected.sort(key=lambda half: half[:2])
+    got = [(half, int(c)) for stack, cs in zip(matrix.stacks, matrix.copies) for half, c in zip(stack, cs)]
+    assert len(got) == len(expected)
+    for (half, copies), (k, _, fold, want) in zip(got, expected):
+        assert half.shape == (k, k) and copies == want
+        assert half.tobytes() == fold.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize(
+    "ell,n,m,pairs",
+    [(3, 2, 2113, 76273), (4, 3, 2025, 91091), (3, 2, 100, None), (4, 3, 52, None), (7, 6, 52, None)],
+    ids=["3/2@2113", "4/3@2025", "3/2@100", "4/3@52", "7/6@52"],
+)
+def test_each_row_gathers_its_sector_from_its_own_column_on(monkeypatch, ell, n, m, pairs):
+    # a sector's columns run representative, partner, ... by the
+    # representatives' positions, so a row's own column counts the functions
+    # whose representative comes before it; the gather reads size - column
+    p = catalog_surface(ell, n)
+    want = sum(
+        len(pos) - int(np.sum(first < row)) for pos, reps, first in _gathered_rows(enumerate_basis(lattice(p), m), n)
+        for row in reps
+    )
+    gathered = []
+    kernel = assembly_mod.gather_pairs
+
+    def counting(fld, basis, chunks):
+        for part, i, j, a in kernel(fld, basis, chunks):
+            gathered.append(len(i))
+            yield part, i, j, a
+
+    monkeypatch.setattr(assembly_mod, "gather_pairs", counting)
+    assemble(p, m)
+    assert sum(gathered) == want
+    assert pairs is None or want == pairs
+
+
 def _small_memory(monkeypatch, nbytes):
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: nbytes)
     monkeypatch.setattr(basis_mod, "_physical_memory", lambda: nbytes)
@@ -276,11 +355,11 @@ def test_guard_admits_3_2_at_2113_in_64_mib(monkeypatch):
 
 
 def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
-    # 5305 functions in at most 12 sectors gather at least 5305^2 / 48
-    # pairs (17.9 MB at SECTOR_PAIR_BYTES = 26 and one 2.6 MB chunk); the 12
-    # sectors of 3/2 gather 913809 (26.4 MB, the sine twins excluded): in
-    # 24 MiB (25.2 MB) the exact count refuses, after enumerating
-    _small_memory(monkeypatch, 24 * 2**20)
+    # 5305 functions in at most 12 sectors gather at least 5305^2 / 96
+    # pairs (9.8 MB at SECTOR_PAIR_BYTES = 28 and one 1.6 MB chunk); the 12
+    # sectors of 3/2 gather 464491 (14.6 MB, the sine twins excluded): in
+    # 12 MiB (12.6 MB) the exact count refuses, after enumerating
+    _small_memory(monkeypatch, 12 * 2**20)
     p = catalog_surface(3, 2)
     largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 5305), 2))
     with pytest.raises(SystemExit) as info:

@@ -4,7 +4,7 @@ import pytest
 from wente_index.assembly import assemble
 from wente_index.basis import enumerate_basis
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import build_surface, lattice
+from wente_index.surface import build_surface, catalog_surface, lattice
 
 
 class TestEigenSymmetric:
@@ -27,6 +27,26 @@ class TestEigenSymmetric:
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             eigen_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_accepts_asymmetry_within_rounding(self):
+        # not equal bit for bit, so the tolerance decides: 1e-16 of the scale passes, 1e-10 does not
+        mat = np.array([[2.0, 1.0], [1.0 + 2e-16, 3.0]])
+        assert eigen_symmetric(mat).m == 2
+        mat[1, 0] = 1.0 + 3e-10
+        with pytest.raises(ValueError, match="not symmetric"):
+            eigen_symmetric(mat)
+
+    @pytest.mark.parametrize(
+        "ell,n,m", [(3, 2, 1013), (3, 2, 2113), (7, 6, 1013), (7, 6, 2113), (4, 3, 1089), (4, 3, 2025)]
+    )
+    def test_residual_bound_is_the_largest_eigenpair_residual_norm(self, ell, n, m):
+        # bit for bit the largest column norm of A V - V diag(values), as np.linalg.norm takes it
+        matrix = assemble(catalog_surface(ell, n), m)
+        worst = 0.0
+        for stack in matrix.stacks:
+            values, vectors = np.linalg.eigh(stack)
+            worst = max(worst, float(np.max(np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1))))
+        assert eigen_symmetric(matrix).residual_bound == worst
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):

@@ -130,7 +130,7 @@ def test_benchmark_large_m_set_up_passes_its_checks(bench):
     for label, sizes in workloads.LARGE_M_SIZES.items():
         p = catalog_surface(*map(int, label.split("/")))
         plan = assembly_mod._fold_plan(enumerate_basis(lattice(p), sizes[-1]), p.n)
-        assert plan.row_counts @ plan.sizes > assembly_mod._CHUNK_PAIRS
+        assert plan.width.sum() > assembly_mod._CHUNK_PAIRS
     outcomes = workloads.LargeMWorkload(lib, seed=1).run_pass()[1]
     assert sorted(out.key[1] for out in outcomes) == sorted(workloads.LARGE_M_SIZES.values())
     assert _failures(outcomes) == []
