@@ -40,7 +40,7 @@ bits do not depend on the fold or the twins.
 from __future__ import annotations
 
 import os
-import struct
+import re
 import tempfile
 from collections import namedtuple
 from dataclasses import dataclass
@@ -64,7 +64,6 @@ __all__ = [
     "gather_pairs",
     "stability_matrix",
     "assemble",
-    "field_cache_key",
     "write_field_cache",
     "read_field_cache",
 ]
@@ -80,6 +79,9 @@ _CHUNK_PAIRS = 1 << 14
 # One chunk's index arrays, wave sums and their coefficients, or its folded entries: tracemalloc reads 74 to 90
 # bytes per pair; the guard counts 100.
 _CHUNK_BYTES = 100 * _CHUNK_PAIRS
+# The signed table while _signed_table builds it: tracemalloc reads 18 to 26 bytes per wave (8 once built).  The
+# basis and the fold plan hold 69 to 82 bytes per function, and the gather's and the fold's index arrays 48 more.
+_TABLE_BYTES, _FUNCTION_BYTES = 24, 128
 
 
 class CoefficientRangeError(ValueError):
@@ -167,17 +169,19 @@ def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -
     return PotentialField(surface=p, nx=nx, ny=ny, coeffs=coeffs)
 
 
+def _reach(basis: Basis) -> tuple[int, int]:
+    """The largest |wave_x| and |wave_y| a product of two functions reaches: the extent of the table."""
+    return 2 * int(np.abs(basis.wave_x).max()), 2 * int(np.abs(basis.wave_y).max())
+
+
 def potential_field(p: SurfaceParams, basis: Basis, cfg: AssemblyConfig) -> PotentialField:
     """V on the configured grid, with a table covering every product of the functions.
 
     A product reaches the sum of two wave pairs; the wave (2n P, 2 Q) is
     the cell frequency (P, Q).
     """
-    reach_x = 2 * int(np.abs(basis.wave_x).max())
-    reach_y = 2 * int(np.abs(basis.wave_y).max())
-    return cached_sample_potential(
-        p, cfg.nx, cfg.ny, cfg.cache_dir, reach_x // (2 * p.n), reach_y // 2
-    )
+    reach_x, reach_y = _reach(basis)
+    return cached_sample_potential(p, cfg.nx, cfg.ny, cfg.cache_dir, reach_x // (2 * p.n), reach_y // 2)
 
 
 def _sectors(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,7 +236,7 @@ def gather_pairs(fld: PotentialField, basis: Basis, chunks):
     code_j with code = wave_x W + wave_y; (i, j) and (j, i) take the same
     operations, so the result is bit-symmetric.
     """
-    reach_x, reach_y = 2 * int(np.abs(basis.wave_x).max()), 2 * int(np.abs(basis.wave_y).max())
+    reach_x, reach_y = _reach(basis)
     table, width = _signed_table(fld, reach_x, reach_y), 2 * reach_y + 1
     code = basis.wave_x * width + basis.wave_y
     shifted = code + (reach_x * width + reach_y)
@@ -358,9 +362,9 @@ class GalerkinMatrix:
         return stability_matrix(self.fld, self.basis)
 
 
-def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest) -> None:
-    """ParameterError when gathering that many pairs would not fit in physical memory."""
-    need, have = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES, _physical_memory()
+def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest, more: int = 0) -> None:
+    """ParameterError when that many gathered pairs plus more bytes would not fit in physical memory."""
+    need, have = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES + more, _physical_memory()
     if need > have:
         raise ParameterError(
             f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {blocks} "
@@ -385,9 +389,9 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
     least = m * m / (8 * most)
     _refuse_beyond_memory(m, least, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     basis = enumerate_basis(lattice(p), m)
-    plan = _fold_plan(basis, p.n)
-    sizes = plan.sizes
-    _refuse_beyond_memory(m, int(plan.width.sum()), f"{len(sizes)} symmetry blocks", max(sizes))
+    plan, (reach_x, reach_y) = _fold_plan(basis, p.n), _reach(basis)
+    more = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1) + _FUNCTION_BYTES * m
+    _refuse_beyond_memory(m, int(plan.width.sum()), f"{len(plan.sizes)} symmetry blocks", max(plan.sizes), more)
     fld = potential_field(p, basis, cfg or AssemblyConfig())
     stacks, copies = _half_stacks(fld, basis, plan)
     return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld)
@@ -395,44 +399,31 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
 
 # --- potential-field cache -------------------------------------------------
 #
-# Binary layout: magic, version, the key (l, n, H, theta, nx, ny), the
-# coefficient table shape, then the raw float64 coefficients.  Version 2
-# holds period-cell tables; files of any other version are a miss.
-# Raw bytes round-trip bit for bit, so a cache hit reproduces the assembly
-# exactly.  The transform's low bits depend on the table extent, so the
-# file name carries the table shape and only an exact match is a hit.
+# A file's name is its key: the surface, the cell grid and the table shape.
+# Version 3 holds the magic, the version and the raw float64 coefficients;
+# a name that holds no key, or a magic, version or byte count that does not
+# match the name, is a miss.  Raw bytes round-trip bit for bit, so a hit
+# reproduces the assembly exactly; the transform's low bits depend on the
+# table extent, so only a file of exactly the shape a run needs is a hit.
 
-_CACHE_MAGIC = b"WNTPOT"
-_CACHE_VERSION = 2
-_HEADER = struct.Struct("<6sH i i d d i i i i")
+_CACHE_MAGIC, _CACHE_VERSION = b"WNTPOT", 3
+_CACHE_NAME = "pot_{}_{}_H{}_t{}_{}x{}_c{}x{}.wntpot"
+_CACHE_NAME_PARTS = r"pot_(\d+)_(\d+)_H([^_]+)_t([^_]+)_(\d+)x(\d+)_c(\d+)x(\d+)\.wntpot"
 
 
-def field_cache_key(p: SurfaceParams, nx: int, ny: int) -> tuple:
-    return (p.ell, p.n, p.H, p.theta_degrees, nx, ny)
+def _cache_name(p: SurfaceParams, nx: int, ny: int, shape: tuple[int, int]) -> str:
+    return _CACHE_NAME.format(p.ell, p.n, p.H, p.theta_degrees, nx, ny, *shape)
 
 
 def write_field_cache(fld: PotentialField, path: "str | Path") -> None:
     """Write atomically: readers see the old file or the complete new one."""
-    p = fld.surface
-    header = _HEADER.pack(
-        _CACHE_MAGIC,
-        _CACHE_VERSION,
-        p.ell,
-        p.n,
-        p.H,
-        p.theta_degrees,
-        fld.nx,
-        fld.ny,
-        fld.coeffs.shape[0],
-        fld.coeffs.shape[1],
-    )
-    payload = np.ascontiguousarray(fld.coeffs, dtype="<f8").tobytes()
+    body = np.ascontiguousarray(fld.coeffs, dtype="<f8").tobytes()
     path = Path(path)
     # the temporary name ends in .tmp, so cache listings never see it
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header + payload)
+            fh.write(_CACHE_MAGIC + _CACHE_VERSION.to_bytes(2, "little") + body)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -440,31 +431,26 @@ def write_field_cache(fld: PotentialField, path: "str | Path") -> None:
 
 
 def read_field_cache(path: "str | Path") -> PotentialField:
-    """Load a cached coefficient table."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated cache file")
-    magic, version, ell, n, big_h, theta, nx, ny, pdim, qdim = _HEADER.unpack(
-        raw[: _HEADER.size]
-    )
-    if magic != _CACHE_MAGIC:
+    """Load the coefficient table a cache file's name describes; ValueError if the file does not hold it."""
+    key = re.fullmatch(_CACHE_NAME_PARTS, os.path.basename(path))
+    if key is None:
+        raise ValueError(f"{path}: the name holds no cache key")
+    ell, n, nx, ny, pdim, qdim = map(int, key.group(1, 2, 5, 6, 7, 8))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:6] != _CACHE_MAGIC:
         raise ValueError(f"{path}: not a potential cache file")
+    version = int.from_bytes(raw[6:8], "little")
     if version != _CACHE_VERSION:
         raise ValueError(f"{path}: unsupported cache version {version}")
-    expected = _HEADER.size + 8 * pdim * qdim
-    if len(raw) != expected:
-        raise ValueError(f"{path}: cache payload size mismatch")
-    coeffs = np.frombuffer(raw[_HEADER.size :], dtype="<f8").reshape(pdim, qdim).copy()
-    return PotentialField(surface=build_surface(ell, n, big_h, theta), nx=nx, ny=ny, coeffs=coeffs)
+    if len(raw) != 8 + 8 * pdim * qdim:
+        raise ValueError(f"{path}: {len(raw) - 8} coefficient bytes, the name's shape holds {8 * pdim * qdim}")
+    coeffs = np.frombuffer(raw, dtype="<f8", offset=8).reshape(pdim, qdim).copy()
+    return PotentialField(build_surface(ell, n, float(key[3]), float(key[4])), nx, ny, coeffs)
 
 
 def cached_sample_potential(
-    p: SurfaceParams,
-    nx: int,
-    ny: int,
-    cache_dir: "str | Path | None",
-    pmax: int,
-    qmax: int,
+    p: SurfaceParams, nx: int, ny: int, cache_dir: "str | Path | None", pmax: int, qmax: int
 ) -> PotentialField:
     """sample_potential with a directory-backed cache of coefficient tables.
 
@@ -473,18 +459,13 @@ def cached_sample_potential(
     """
     if cache_dir is None:
         return sample_potential(p, nx, ny, pmax, qmax)
-    key = field_cache_key(p, nx, ny)
-    shape = (pmax + 1, qmax + 1)
-    name = "pot_{}_{}_H{}_t{}_{}x{}_c{}x{}.wntpot".format(*key, *shape)
-    path = Path(cache_dir) / name
+    path = os.path.join(cache_dir, _cache_name(p, nx, ny, (pmax + 1, qmax + 1)))
     try:
-        fld = read_field_cache(path)
+        return read_field_cache(path)
     except (OSError, ValueError):
-        fld = None
-    if fld is not None and field_cache_key(fld.surface, fld.nx, fld.ny) == key and fld.coeffs.shape == shape:
-        return fld
+        pass
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ParameterError(f"cache directory {cache_dir} is unusable: {exc.strerror}") from exc
     fld = sample_potential(p, nx, ny, pmax, qmax)

@@ -32,6 +32,7 @@ from .assembly import AssemblyConfig, GalerkinMatrix, assemble, stability_matrix
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
 from .basis import count_alpha_below, shell_complete_size, shells_holding
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
+from .reference import REFERENCE_ESTIMATES
 from .spectrum import eigen_symmetric
 from .surface import ParameterError, SurfaceParams, lattice, potential_extrema
 
@@ -181,11 +182,14 @@ def full_report(
 ) -> IndexReport:
     """Run every bound plus the Galerkin pipeline and cross-check consistency.
 
-    The subspace check uses the shipped certified set for the surface when
-    one exists.  Inconsistent bounds raise ConsistencyError: they can only
-    come from a numerical fault, never from the mathematics.
+    m defaults to the surface's published truncation size, or default_m(p)
+    without a reference row.  The subspace check uses the shipped certified
+    set for the surface when one exists.  Inconsistent bounds raise
+    ConsistencyError: they can only come from a numerical fault, never from
+    the mathematics.
     """
-    m = default_m(p) if m is None else m
+    if m is None:
+        m = {row.surface: row.m for row in REFERENCE_ESTIMATES}.get(p.label) or default_m(p)
     cfg = cfg or AssemblyConfig()
     notes: list[str] = []
 

@@ -37,12 +37,11 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
-from .assembly import DEFAULT_GRID, AssemblyConfig, NyquistError, field_cache_key, read_field_cache
+from .assembly import DEFAULT_GRID, AssemblyConfig, NyquistError, read_field_cache
 from .bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
     courant_bound,
-    default_m,
     full_report,
     potential_sandwich,
     subspace_bound,
@@ -187,13 +186,7 @@ def cmd_report(args) -> int:
     def one(label):
         ell, n = label
         p = build_surface(ell, n, args.H, args.theta)
-        m = args.m
-        if m is None:
-            try:
-                m = estimate_row(p.label).m
-            except KeyError:
-                m = default_m(p)
-        return full_report(p, m, cfg, zero_tol=args.zero_tol).to_dict()
+        return full_report(p, args.m, cfg, zero_tol=args.zero_tol).to_dict()
 
     reports = _fan_out(args.jobs, one, surfaces)
     payload = {
@@ -349,8 +342,7 @@ def cmd_table3(args) -> int:
     def one(ref):
         ell, n = _parse_surface(ref.surface)
         p = build_surface(ell, n, args.H)
-        m = ref.m if args.m is None else args.m
-        report = full_report(p, m, cfg, zero_tol=args.zero_tol)
+        report = full_report(p, args.m, cfg, zero_tol=args.zero_tol)
         checks = {
             "galerkin_k": report.galerkin_k == ref.galerkin_k,
             "negative_range": _range_ok(report.negative_range, ref.negative_range),
@@ -452,13 +444,12 @@ def cmd_cache(args) -> int:
                 # reports treat such a file as a miss and rewrite it
                 rows.append({"file": path.name, "unreadable": str(exc)})
                 continue
-            key = field_cache_key(fld.surface, fld.nx, fld.ny)
             rows.append(
                 {
                     "file": path.name,
                     "surface": fld.surface.label,
-                    "H": key[2],
-                    "theta_degrees": key[3],
+                    "H": fld.surface.H,
+                    "theta_degrees": fld.surface.theta_degrees,
                     "nx": fld.nx,
                     "ny": fld.ny,
                     "coefficients": list(fld.coeffs.shape),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,12 +12,12 @@ from wente_index.assembly import (
     PotentialField,
     assemble,
     potential_field,
-    field_cache_key,
     read_field_cache,
     sample_potential,
     stability_matrix,
     write_field_cache,
     cached_sample_potential,
+    _cache_name,
 )
 from wente_index.basis import enumerate_basis
 from wente_index.surface import build_surface, lattice, potential_extrema, potential_grid
@@ -285,7 +286,8 @@ class TestAssemble:
 
     def test_memory_guard_refuses_before_sampling(self, w32, monkeypatch):
         import wente_index.assembly as assembly_mod
-        from wente_index.assembly import _CHUNK_BYTES, SECTOR_PAIR_BYTES, mirror_partners
+        from wente_index.assembly import _CHUNK_BYTES, _FUNCTION_BYTES, _TABLE_BYTES, SECTOR_PAIR_BYTES
+        from wente_index.assembly import mirror_partners
         from wente_index.surface import ParameterError
 
         def never(*args, **kwargs):
@@ -308,9 +310,13 @@ class TestAssemble:
             closed = np.all(partner[s] >= 0)
             first = np.minimum(s, partner[s]) if closed else s
             pairs += sum(int(np.sum(first >= row)) for row in s[first == s])
-        # the guard charges those pairs (18,316) and one chunk, 2.15 MB; before
-        # enumerating it charges the floor of 1013^2 / 96 pairs, 1.94 MB
-        need = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES
+        # the guard charges those pairs (18,316), one chunk, the signed table of
+        # every wave the products reach (|wave_x|, |wave_y| <= 44) and each
+        # function, 2.47 MB; before enumerating it charges the floor of
+        # 1013^2 / 96 pairs, 1.94 MB
+        reach_x, reach_y = 2 * np.abs(basis.wave_x).max(), 2 * np.abs(basis.wave_y).max()
+        table = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1)
+        need = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES + table + _FUNCTION_BYTES * 1013
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match="m = 1013 needs about"):
             assemble(w32, 1013)
@@ -357,18 +363,16 @@ class TestAssemble:
 class TestCache:
     def test_round_trip_bit_exact(self, w32, tmp_path):
         fld = sample_potential(w32, 128, 128, 12, 12)
-        target = tmp_path / "field.wntpot"
+        target = tmp_path / _cache_name(w32, 128, 128, (13, 13))
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         assert np.array_equal(loaded.coeffs, fld.coeffs)
         assert loaded.area == fld.area
-        assert field_cache_key(loaded.surface, loaded.nx, loaded.ny) == field_cache_key(
-            w32, 128, 128
-        )
+        assert (loaded.surface, loaded.nx, loaded.ny) == (w32, 128, 128)
 
     def test_loaded_field_reproduces_fourier_entries(self, w32, tmp_path):
         fld = sample_potential(w32, 128, 128, 12, 12)
-        target = tmp_path / "field.wntpot"
+        target = tmp_path / _cache_name(w32, 128, 128, (13, 13))
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 13)
@@ -377,21 +381,37 @@ class TestCache:
     def test_quadrature_on_a_loaded_field_samples_the_same_grid(self, w32, tmp_path):
         # the cache stores no samples; the oracle samples the cell grid itself
         fld = sample_potential(w32, 128, 128, 12, 12)
-        target = tmp_path / "field.wntpot"
+        target = tmp_path / _cache_name(w32, 128, 128, (13, 13))
         write_field_cache(fld, target)
         loaded = read_field_cache(target)
         basis = enumerate_basis(lattice(w32), 5)
         assert b_entry_quadrature(loaded, basis, 1, 3) == b_entry_quadrature(fld, basis, 1, 3)
 
+    def test_name_round_trips_the_key_floats_exactly(self, tmp_path):
+        # H and theta are written by repr, an exponent included, and read back bit for bit
+        p = build_surface(3, 2, 0.3, 1e-05)
+        target = tmp_path / _cache_name(p, 64, 64, (3, 3))
+        assert target.name == "pot_3_2_H0.3_t1e-05_64x64_c3x3.wntpot"
+        write_field_cache(sample_potential(p, 64, 64, 2, 2), target)
+        assert read_field_cache(target).surface == p
+
     def test_rejects_corrupt_files(self, w32, tmp_path):
-        target = tmp_path / "bad.wntpot"
-        target.write_bytes(b"NOTAPOT")
-        with pytest.raises(ValueError):
-            read_field_cache(target)
         fld = sample_potential(w32, 128, 128, 4, 4)
+        unnamed = tmp_path / "field.wntpot"
+        write_field_cache(fld, unnamed)
+        with pytest.raises(ValueError, match="the name holds no cache key"):
+            read_field_cache(unnamed)
+        target = tmp_path / _cache_name(w32, 128, 128, (5, 5))
+        target.write_bytes(b"NOTAPOT")
+        with pytest.raises(ValueError, match="not a potential cache file"):
+            read_field_cache(target)
         write_field_cache(fld, target)
         target.write_bytes(target.read_bytes()[:-8])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="192 coefficient bytes, the name's shape holds 200"):
+            read_field_cache(target)
+        # a table of another shape than its name's
+        write_field_cache(sample_potential(w32, 128, 128, 4, 5), target)
+        with pytest.raises(ValueError, match="240 coefficient bytes"):
             read_field_cache(target)
 
     def test_cached_sampling_hits(self, w32, tmp_path, monkeypatch):
@@ -424,17 +444,23 @@ class TestCache:
         assert np.array_equal(smaller.coeffs, sample_potential(w32, 128, 128, 4, 4).coeffs)
         assert len(list(tmp_path.glob("*.wntpot"))) == 2
 
-    @pytest.mark.parametrize("damage", ["truncate", "magic", "version"])
+    @pytest.mark.parametrize("damage", ["truncate", "extend", "magic", "version", "version 2 layout"])
     def test_unreadable_file_is_a_miss_and_rewritten(self, w32, tmp_path, damage):
         fresh = cached_sample_potential(w32, 128, 128, tmp_path, 8, 8)
         (path,) = tmp_path.glob("*.wntpot")
         raw = path.read_bytes()
         if damage == "truncate":
             path.write_bytes(raw[:40])
+        elif damage == "extend":
+            path.write_bytes(raw + raw[-8:])
         elif damage == "magic":
             path.write_bytes(b"XXXXXX" + raw[6:])
-        else:
+        elif damage == "version":
             path.write_bytes(raw[:6] + (99).to_bytes(2, "little") + raw[8:])
+        else:
+            # magic, version 2, the key (l, n, H, theta, nx, ny), the shape, then the same coefficients
+            key = (3, 2, w32.H, w32.theta_degrees, 128, 128, 9, 9)
+            path.write_bytes(struct.pack("<6sH i i d d i i i i", b"WNTPOT", 2, *key) + raw[8:])
         again = cached_sample_potential(w32, 128, 128, tmp_path, 8, 8)
         assert np.array_equal(again.coeffs, fresh.coeffs)
         assert path.read_bytes() == raw

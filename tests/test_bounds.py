@@ -17,7 +17,7 @@ from wente_index.bounds import (
     potential_sandwich,
     subspace_bound,
 )
-from wente_index.reference import REFERENCE_GEOMETRY
+from wente_index.reference import REFERENCE_GEOMETRY, estimate_row
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import ParameterError, catalog_surface, lattice, potential_extrema
 
@@ -186,6 +186,15 @@ class TestFullReport:
     def test_default_m_is_shell_complete(self, w32, w43):
         assert default_m(w32) == 85
         assert default_m(w43) == 81
+
+    def test_truncation_size_defaults_to_the_reference_row_or_default_m(self, w32):
+        # 3/2 has a reference row, at m = 181; 21/20 has none
+        assert estimate_row(w32.label).m == 181
+        assert full_report(w32).to_dict() == full_report(w32, 181).to_dict()
+        p = catalog_surface(21, 20)
+        with pytest.raises(KeyError):
+            estimate_row(p.label)
+        assert full_report(p).to_dict() == full_report(p, default_m(p)).to_dict()
 
     @pytest.mark.parametrize("at_least", [0, -5])
     def test_default_m_rejects_sizes_below_one(self, w32, at_least):

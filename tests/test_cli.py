@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -355,22 +356,44 @@ class TestCache:
         run_cli(capsys, *args)
         (good,) = tmp_path.glob("*.wntpot")
         raw = good.read_bytes()
-        # a file from another cache version, and one cut short
-        (tmp_path / "a_other_version.wntpot").write_bytes(raw[:6] + (1).to_bytes(2, "little") + raw[8:])
-        (tmp_path / "b_truncated.wntpot").write_bytes(raw[:20])
+        # under the names of other keys: a file from another cache version and
+        # one cut short; and a file whose name holds no key
+        other_version = good.name.replace("_c", "_c1", 1)
+        truncated = good.name.replace("_c", "_c2", 1)
+        (tmp_path / other_version).write_bytes(raw[:6] + (1).to_bytes(2, "little") + raw[8:])
+        (tmp_path / truncated).write_bytes(raw[:20])
+        (tmp_path / "a_keyless.wntpot").write_bytes(raw)
         code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
         assert code == 0
         rows = {r["file"]: r for r in json.loads(out)["rows"]}
-        assert "unsupported cache version 1" in rows["a_other_version.wntpot"]["unreadable"]
-        assert "truncated cache file" in rows["b_truncated.wntpot"]["unreadable"]
+        assert "unsupported cache version 1" in rows[other_version]["unreadable"]
+        assert "12 coefficient bytes, the name's shape holds" in rows[truncated]["unreadable"]
+        assert "the name holds no cache key" in rows["a_keyless.wntpot"]["unreadable"]
         assert rows[good.name]["surface"] == "3/2" and "unreadable" not in rows[good.name]
         code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path), "--format", "text")
         assert code == 0
-        assert "b_truncated.wntpot  (unreadable: " in out
+        assert f"{truncated}  (unreadable: " in out
         code, out, _ = run_cli(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
         assert code == 0
-        assert "removed 3" in out
+        assert "removed 4" in out
         assert not list(tmp_path.glob("*.wntpot"))
+
+    def test_a_version_2_file_is_a_miss_and_rewritten(self, capsys, tmp_path):
+        # the layout before version 3 repeated the key and the shape in a header
+        args = ("report", "--surface", "3/2", "--m", "41", "--cache-dir", str(tmp_path))
+        _, cold, _ = run_cli(capsys, *args)
+        (path,) = tmp_path.glob("*.wntpot")
+        raw = path.read_bytes()
+        p = build_surface(3, 2)
+        shape = [int(v) for v in path.name.removesuffix(".wntpot").rsplit("_c", 1)[1].split("x")]
+        header = struct.pack("<6sH i i d d i i i i", b"WNTPOT", 2, 3, 2, p.H, p.theta_degrees, 256, 256, *shape)
+        path.write_bytes(header + raw[8:])
+        code, out, _ = run_cli(capsys, "cache", "inspect", "--cache-dir", str(tmp_path))
+        assert code == 0
+        assert "unsupported cache version 2" in json.loads(out)["rows"][0]["unreadable"]
+        code, again, _ = run_cli(capsys, *args)
+        assert code == 0 and again == cold
+        assert path.read_bytes() == raw
 
     def test_a_directory_named_like_an_entry_is_not_one(self, capsys, tmp_path):
         # only regular files are cache entries: inspect does not list the
