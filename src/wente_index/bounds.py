@@ -114,9 +114,10 @@ def subspace_bound(
     The restriction to the 1-based basis indices is the stability matrix on
     those functions over the field of form when form holds them, otherwise
     of A_M assembled at the smallest shell-complete M >= max(indices): bit
-    for bit a principal submatrix of A_M.  A negative definite N-dimensional
-    restriction implies Ind >= N - 1 (one dimension can be lost to the
-    volume constraint).
+    for bit a principal submatrix of A_M.  It counts as negative definite
+    only when its top eigenvalue lies below -residual_bound, the solver's
+    error bound.  A negative definite N-dimensional restriction implies
+    Ind >= N - 1 (one dimension can be lost to the volume constraint).
     """
     indices = tuple(int(i) for i in indices)
     if not indices:
@@ -128,8 +129,9 @@ def subspace_bound(
     if form is None or form.m < max(indices):
         form = assemble(p, default_m(p, max(indices)), cfg)
     mat = stability_matrix(form.fld, form.basis[np.array(indices) - 1])
-    top = float(eigen_symmetric(mat).eigenvalues[-1])
-    definite = top < 0.0
+    est = eigen_symmetric(mat)
+    top = float(est.eigenvalues[-1])
+    definite = top < -est.residual_bound
     return SubspaceVerdict(
         negative_definite=definite,
         implied_lower=len(mat) - 1 if definite else 0,

@@ -1,16 +1,18 @@
-"""Symmetric eigendecomposition and negative-eigenvalue counting.
+"""Symmetric eigenvalues with a stated error bound, and negative counting.
 
 A_m is an orthogonal sum of the reflection halves of its symmetry sectors,
 so its spectrum is the union of theirs.  A complex class's sine half is
 S H S for a cosine half H and signs S, so H is solved once and counted
-twice; the residual at (lambda, S v) is S times H's at (lambda, v), so
-residual_bound covers the twin.  Each stack of equal-size halves goes to
-LAPACK's symmetric solver (tridiagonalization followed by implicit-shift
-iteration) in one batched call, deterministic for a fixed input.  Counting
-negatives uses a relative zero tolerance: eigenvalues inside the tolerance
-band are reported as uncertain rather than silently classified, since the
-torus operator carries a six-dimensional kernel whose truncated eigenvalues
-approach zero from above.
+twice.  Each stack of equal-size halves goes to LAPACK's symmetric
+eigenvalue solver in one batched call, deterministic for a fixed input.
+Each computed eigenvalue of a k x k half H lies within p(k) eps ||H||_2 of
+the exact one (LAPACK Users' Guide, "Error bounds for the symmetric
+eigenproblem"; Weyl's inequality, Demmel 5.2); residual_bound takes
+p(k) = k and ||H||_2 <= ||H||_F, which S H S shares with H, so one bound
+covers both copies.  Eigenvalues inside a zero band relative to ||A||,
+never narrower than that bound, are reported as uncertain rather than
+silently classified: the torus operator carries a six-dimensional kernel
+whose truncated eigenvalues approach zero from above.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class SpectrumEstimate:
     m: int
     eigenvalues: np.ndarray  # ascending
     negative_count: int
-    residual_bound: float
+    residual_bound: float  # max k eps ||H||_F over the halves: LAPACK's eigenvalue error bound
     # Up to six eigenvalues just above the negative and uncertain block (fewer
     # when the spectrum is that short).  For a converged truncation they
     # approach zero, since the kernel of the operator contains the normal
@@ -62,22 +64,21 @@ class SpectrumEstimate:
 
 
 def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = None) -> SpectrumEstimate:
-    """Full spectrum of a symmetric matrix with a residual certificate.
+    """Full spectrum of a symmetric matrix with LAPACK's eigenvalue error bound.
 
     A GalerkinMatrix is solved one stack of equal-size halves at a time and
     the spectra merged, each half's as often as its copies say; an ndarray
-    is a stack of one.  residual_bound is the largest eigenpair residual
-    over the halves solved; it covers their twins.  Eigenvalues within
-    zero_tol of zero (default ZERO_TOL_RELATIVE * ||A||) are counted as
-    uncertain, the rest below it as negative.  Raises ValueError when a
-    matrix is not symmetric to rounding accuracy, or when zero_tol is
-    negative or not finite (either would silently move the band).
+    is a stack of one.  residual_bound is the largest k eps ||H||_F over the
+    halves solved.  Eigenvalues within the reported band zero_tol (default
+    ZERO_TOL_RELATIVE * ||A||, raised to residual_bound) of zero are uncertain,
+    the rest below it negative.  Raises ValueError for a matrix not symmetric
+    to rounding accuracy, or a zero_tol that is negative or not finite.
     """
     if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
         raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
     solo = not isinstance(a, GalerkinMatrix)
     stacks, copies = ((np.asarray(a, float)[None],), (1,)) if solo else (a.stacks, a.copies)
-    spectra, residuals = [], []
+    spectra, bounds = [], []
     for stack, copy in zip(stacks, copies):
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
@@ -87,16 +88,13 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
             asym = np.max(np.abs(stack - transpose), axis=(1, 2))
             if np.any(asym > _SYMMETRY_RTOL * np.where(scale > 0.0, scale, 1.0)):
                 raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym.max():g}")
-        values, vectors = np.linalg.eigh(stack)
-        # column norms of A V - V diag(values), summed as np.linalg.norm sums them
-        residual = np.matmul(stack, vectors)
-        residual -= vectors * values[:, None, :]
-        np.square(residual, out=residual)
-        residuals.append(float(np.sqrt(residual.sum(axis=1)).max()))
-        spectra.append(np.repeat(values, copy, axis=0).ravel())
+        bounds.append(stack.shape[1] * math.ulp(1.0) * float(np.linalg.norm(stack, axis=(1, 2)).max()))
+        spectra.append(np.repeat(np.linalg.eigvalsh(stack), copy, axis=0).ravel())
     values = np.sort(np.concatenate(spectra))
+    bound = max(bounds)
     if zero_tol is None:
         zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)
+    zero_tol = max(zero_tol, bound)
     negative = int(np.sum(values < -zero_tol))
     uncertain = int(np.sum(np.abs(values) <= zero_tol))
     first_six = tuple(float(v) for v in values[negative + uncertain:][:6])
@@ -104,7 +102,7 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
         m=len(values),
         eigenvalues=values,
         negative_count=negative,
-        residual_bound=float(max(residuals)),
+        residual_bound=bound,
         first_positive_six=first_six,
         zero_tol=zero_tol,
         uncertain_count=uncertain,

@@ -140,9 +140,18 @@ class TestSubspace:
 
     def test_verdict_consistent_with_spectrum(self, w32, fast_cfg):
         verdict = subspace_bound(w32, SUBSPACE_SETS["3/2"], fast_cfg)
-        top = float(eigen_symmetric(verdict.matrix).eigenvalues[-1])
+        est = eigen_symmetric(verdict.matrix)
+        top = float(est.eigenvalues[-1])
         assert verdict.max_eigenvalue == pytest.approx(top, rel=1e-12)
-        assert (top < 0.0) == verdict.negative_definite
+        assert (top < -est.residual_bound) == verdict.negative_definite
+
+    def test_top_eigenvalue_within_the_error_bound_is_not_definite(self, w32, fast_cfg, monkeypatch):
+        # -1e-16 is below zero but within 2 eps ||diag(-1, -1e-16)||_F of it
+        monkeypatch.setattr(bounds_mod, "stability_matrix", lambda fld, basis: np.diag([-1.0, -1e-16]))
+        verdict = subspace_bound(w32, [1, 2], form=assemble(w32, 13, fast_cfg))
+        assert verdict.max_eigenvalue == -1e-16
+        assert not verdict.negative_definite
+        assert verdict.implied_lower == 0
 
     @pytest.mark.parametrize("indices", [[], [0, 1], [1, 1, 2]])
     def test_invalid_index_lists(self, w32, indices, fast_cfg):

@@ -141,6 +141,15 @@ def _fold_case(ell, n, m):
 
 
 @pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
+def test_residual_bound_covers_the_eigenvector_solver(ell, n, m):
+    # eigh reaches each half's eigenvalues by another LAPACK path; the bound
+    # allows each to be off by it, and the two differ by less than one bound
+    matrix = _fold_case(ell, n, m)
+    gap = max(float(np.max(np.abs(np.linalg.eigvalsh(s) - np.linalg.eigh(s)[0]))) for s in matrix.stacks)
+    assert eigen_symmetric(matrix).residual_bound >= gap
+
+
+@pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
 def test_sector_blocks_are_their_own_mirror_images(ell, n, m):
     # the fold reads one row per mirror pair, so each sector block of A_m
     # must be its own mirror image bit for bit, diagonal included (on the

@@ -39,13 +39,11 @@ class TestEigenSymmetric:
     @pytest.mark.parametrize(
         "ell,n,m", [(3, 2, 1013), (3, 2, 2113), (7, 6, 1013), (7, 6, 2113), (4, 3, 1089), (4, 3, 2025)]
     )
-    def test_residual_bound_is_the_largest_eigenpair_residual_norm(self, ell, n, m):
-        # bit for bit the largest column norm of A V - V diag(values), as np.linalg.norm takes it
+    def test_residual_bound_is_k_eps_frobenius_of_the_worst_half(self, ell, n, m):
+        # bit for bit the largest k eps ||H||_F over the k x k halves solved
         matrix = assemble(catalog_surface(ell, n), m)
-        worst = 0.0
-        for stack in matrix.stacks:
-            values, vectors = np.linalg.eigh(stack)
-            worst = max(worst, float(np.max(np.linalg.norm(stack @ vectors - vectors * values[:, None, :], axis=1))))
+        eps = np.finfo(float).eps
+        worst = max(len(half) * eps * float(np.sqrt(np.sum(half * half))) for stack in matrix.stacks for half in stack)
         assert eigen_symmetric(matrix).residual_bound == worst
 
     def test_rejects_nonsquare(self):
@@ -93,6 +91,12 @@ class TestCounting:
     def test_zero_band_is_allowed(self):
         est = eigen_symmetric(np.diag([-1e-3, 0.0, 5.0]), zero_tol=0.0)
         assert (est.negative_count, est.uncertain_count) == (1, 1)
+
+    def test_band_never_falls_below_the_error_bound(self):
+        # -1e-15 is within 2 eps ||A||_F of zero, so its sign is not known
+        est = eigen_symmetric(np.diag([-1e-15, 5.0]), zero_tol=0.0)
+        assert (est.negative_count, est.uncertain_count) == (0, 1)
+        assert est.zero_tol == est.residual_bound == 2 * np.finfo(float).eps * 5.0
 
     def test_all_positive(self):
         est = eigen_symmetric(np.diag([0.5, 1.0, 2.0]), 1e-9)
