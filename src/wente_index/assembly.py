@@ -30,11 +30,11 @@ cosine halves count twice.  An even m ends on a sine without its cosine,
 and that sector is solved on its own.
 
 assemble(p, m, cfg), the only builder of A_m, enumerates the basis, samples
-V over it (or reads the cache) and returns the halves.  The one dense view,
-stability_matrix on a field and any basis[pos] (published index i is
-position i - 1; GalerkinMatrix.entries is it on the whole basis), gathers
-every pair within a sector through the same kernel, gather_pairs, so its
-bits do not depend on the fold or the twins.
+V over it (or reads the cache) and returns the labelled halves.  The one
+dense view, stability_matrix on a field and any basis[pos] (published
+index i is position i - 1; GalerkinMatrix.entries is it on the whole
+basis), gathers every pair within a sector through the same kernel,
+gather_pairs, so its bits do not depend on the fold or the twins.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "AssemblyConfig",
     "PotentialField",
     "GalerkinMatrix",
+    "HALF_LABEL",
     "CoefficientRangeError",
     "NyquistError",
     "sample_potential",
@@ -264,9 +265,13 @@ def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
 
 
 # Gathered rows, each against cols[first:first + width]; the sector sizes; the half sizes, ascending, and their
-# copies; per half member (half after half): base, with flat[base + place] its row's entry at a column's place in
+# labels; per half member (half after half): base, with flat[base + place] its row's entry at a column's place in
 # cols, its own place and its mirror's, its sign (+1 even, -1 odd, 0 self) and 1.0 for a pair member (0.0 self).
-_Fold = namedtuple("_Fold", "rows first width cols sizes half_sizes copies base place mirror sign pair")
+_Fold = namedtuple("_Fold", "rows first width cols sizes half_sizes labels base place mirror sign pair")
+
+# A half's class c = min(+-wave_x mod 2n), wave_y mod 2, phase ("cos", "sin", or "both": a complex class's cosine
+# half standing for its sine twin too) and mirror parity ("even", "odd", or "whole": a sector left open).
+HALF_LABEL = np.dtype([("c", "i8"), ("y_parity", "i8"), ("phase", "U4"), ("mirror", "U5")])
 
 
 def _fold_plan(basis: Basis, n: int) -> _Fold:
@@ -281,13 +286,14 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     representatives at or after it, so each unordered pair is read once.  A
     sector kept whole is its own representatives and reads its upper
     triangle.  The sine sector of a complex class that holds the cosine
-    sector's modes gathers nothing: the cosine sector's halves count twice.
-    No array has more entries than the basis.
+    sector's modes gathers nothing: the cosine sector's halves, labelled
+    "both", count twice.  No array has more entries than the basis.
     """
     key, _, sizes = _sectors(basis, n)
     partner, mirror_sign = mirror_partners(basis)
     here = np.arange(len(basis))
-    closed = np.bincount(key[partner < 0], minlength=key.max() + 1)[key] == 0
+    opened = np.bincount(key[partner < 0], minlength=key.max() + 1) > 0
+    closed = ~opened[key]
     mirror = np.where(closed, partner, here)
     # a cosine sector holds the cosines of a subset of its sine sector's modes, all of them when the sizes agree
     cls, per_key = np.arange(key.max() + 2), np.bincount(key, minlength=key.max() + 2)
@@ -311,11 +317,15 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     halves = np.argsort(counts, kind="stable")[-np.count_nonzero(counts):]
     sign = np.where(pair[members], 1.0 - 2.0 * (half % 2), 0.0)
     member = base[members], place[members], place[mirror[members]], sign, pair[members].astype(float)
-    return _Fold(rows, first, width, cols, sizes, counts[halves], 1 + twin[halves // 2 + 1], *member)
+    hkey, labels = halves // 2, np.empty(len(halves), HALF_LABEL)
+    labels["c"], labels["y_parity"] = hkey // 4, hkey // 2 % 2
+    labels["phase"] = np.where(twin[hkey + 1], "both", np.where(hkey % 2, "sin", "cos"))
+    labels["mirror"] = np.where(opened[hkey], "whole", np.where(halves % 2, "odd", "even"))
+    return _Fold(rows, first, width, cols, sizes, counts[halves], labels, *member)
 
 
 def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[np.ndarray, ...], tuple]:
-    """The halves of A_m from one gather, as (count, k, k) stacks of ascending k, and their copies.
+    """The halves of A_m from one gather, as (count, k, k) stacks of ascending k, and their labels.
 
     In the basis (u_i +- u_Ri) / sqrt(2) of a pair and u_i of a self-mirror,
     with X = A[i, j] and Y = A[i, R j]: a pair-pair entry is X + Y in the
@@ -343,7 +353,7 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
     sizes, counts = np.unique(plan.half_sizes, return_counts=True)
     ends = np.cumsum(counts * sizes * sizes)
     stacks = [part.reshape(-1, size, size) for part, size in zip(np.split(out, ends[:-1]), sizes.tolist())]
-    return tuple(stacks), tuple(np.split(plan.copies, np.cumsum(counts)[:-1]))
+    return tuple(stacks), tuple(np.split(plan.labels, np.cumsum(counts)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -352,9 +362,13 @@ class GalerkinMatrix:
 
     m: int
     stacks: tuple[np.ndarray, ...]
-    copies: tuple[np.ndarray, ...]  # copies[s][h] in {1, 2}: how often A_m holds the spectrum of stacks[s][h]
+    labels: tuple[np.ndarray, ...]  # labels[s][h], a HALF_LABEL record: the symmetry of stacks[s][h]
     basis: Basis
     fld: PotentialField
+
+    @property
+    def copies(self) -> tuple[np.ndarray, ...]:  # copies[s][h]: how often A_m holds the spectrum of stacks[s][h]
+        return tuple(1 + (labels["phase"] == "both") for labels in self.labels)
 
     @property
     def entries(self) -> np.ndarray:
@@ -393,8 +407,8 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
     more = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1) + _FUNCTION_BYTES * m
     _refuse_beyond_memory(m, int(plan.width.sum()), f"{len(plan.sizes)} symmetry blocks", max(plan.sizes), more)
     fld = potential_field(p, basis, cfg or AssemblyConfig())
-    stacks, copies = _half_stacks(fld, basis, plan)
-    return GalerkinMatrix(m=m, stacks=stacks, copies=copies, basis=basis, fld=fld)
+    stacks, labels = _half_stacks(fld, basis, plan)
+    return GalerkinMatrix(m=m, stacks=stacks, labels=labels, basis=basis, fld=fld)
 
 
 # --- potential-field cache -------------------------------------------------

@@ -2,9 +2,10 @@
 
 A_m is an orthogonal sum of the reflection halves of its symmetry sectors,
 so its spectrum is the union of theirs.  A complex class's sine half is
-S H S for a cosine half H and signs S, so H is solved once and counted
-twice.  Each stack of equal-size halves goes to LAPACK's symmetric
-eigenvalue solver in one batched call, deterministic for a fixed input.
+S H S for a cosine half H and signs S, so H (phase "both") is solved once
+and counted twice.  half_spectra solves each stack of equal-size halves in
+one batched call to LAPACK's symmetric eigenvalue solver, deterministic
+for a fixed input; eigen_symmetric merges the stacks.
 Each computed eigenvalue of a k x k half H lies within p(k) eps ||H||_2 of
 the exact one (LAPACK Users' Guide, "Error bounds for the symmetric
 eigenproblem"; Weyl's inequality, Demmel 5.2); residual_bound takes
@@ -18,6 +19,7 @@ whose truncated eigenvalues approach zero from above.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,9 @@ from .assembly import GalerkinMatrix
 
 __all__ = [
     "SpectrumEstimate",
+    "HalfSpectra",
     "ZERO_TOL_RELATIVE",
+    "half_spectra",
     "eigen_symmetric",
 ]
 
@@ -63,23 +67,16 @@ class SpectrumEstimate:
         return (float(neg[0]), float(neg[-1]))
 
 
-def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = None) -> SpectrumEstimate:
-    """Full spectrum of a symmetric matrix with LAPACK's eigenvalue error bound.
+# One stack's (count, k) eigenvalues, each half's ascending; the halves' GalerkinMatrix labels (None for an
+# ndarray: one half, counted once); the largest k eps ||H||_F over the stack, LAPACK's eigenvalue error bound.
+HalfSpectra = namedtuple("HalfSpectra", "values labels bound")
 
-    A GalerkinMatrix is solved one stack of equal-size halves at a time and
-    the spectra merged, each half's as often as its copies say; an ndarray
-    is a stack of one.  residual_bound is the largest k eps ||H||_F over the
-    halves solved.  Eigenvalues within the reported band zero_tol (default
-    ZERO_TOL_RELATIVE * ||A||, raised to residual_bound) of zero are uncertain,
-    the rest below it negative.  Raises ValueError for a matrix not symmetric
-    to rounding accuracy, or a zero_tol that is negative or not finite.
-    """
-    if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
-        raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
-    solo = not isinstance(a, GalerkinMatrix)
-    stacks, copies = ((np.asarray(a, float)[None],), (1,)) if solo else (a.stacks, a.copies)
-    spectra, bounds = [], []
-    for stack, copy in zip(stacks, copies):
+
+def half_spectra(a: "GalerkinMatrix | np.ndarray") -> tuple[HalfSpectra, ...]:
+    """Each stack of a GalerkinMatrix's halves solved, in its order (an ndarray is one stack of one half)."""
+    stacks, labels = (a.stacks, a.labels) if isinstance(a, GalerkinMatrix) else ((np.asarray(a, float)[None],), (None,))
+    out = []
+    for stack, stack_labels in zip(stacks, labels):
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
         transpose = stack.transpose(0, 2, 1)
@@ -88,10 +85,24 @@ def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = N
             asym = np.max(np.abs(stack - transpose), axis=(1, 2))
             if np.any(asym > _SYMMETRY_RTOL * np.where(scale > 0.0, scale, 1.0)):
                 raise ValueError(f"matrix is not symmetric: max |A - A^T| = {asym.max():g}")
-        bounds.append(stack.shape[1] * math.ulp(1.0) * float(np.linalg.norm(stack, axis=(1, 2)).max()))
-        spectra.append(np.repeat(np.linalg.eigvalsh(stack), copy, axis=0).ravel())
-    values = np.sort(np.concatenate(spectra))
-    bound = max(bounds)
+        bound = stack.shape[1] * math.ulp(1.0) * float(np.linalg.norm(stack, axis=(1, 2)).max())
+        out.append(HalfSpectra(np.linalg.eigvalsh(stack), stack_labels, bound))
+    return tuple(out)
+
+
+def eigen_symmetric(a: "GalerkinMatrix | np.ndarray", zero_tol: float | None = None) -> SpectrumEstimate:
+    """Full spectrum of a symmetric matrix: its half_spectra merged, each half's as often as its copies say.
+
+    residual_bound is the largest bound of the stacks.  Eigenvalues within the reported band zero_tol (default
+    ZERO_TOL_RELATIVE * ||A||, raised to residual_bound) of zero are uncertain, the rest below it negative.
+    Raises ValueError for a matrix not symmetric to rounding accuracy, or a zero_tol that is negative or not finite.
+    """
+    if zero_tol is not None and not (math.isfinite(zero_tol) and zero_tol >= 0.0):
+        raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
+    spectra = half_spectra(a)
+    copies = a.copies if isinstance(a, GalerkinMatrix) else (1,)
+    values = np.sort(np.concatenate([np.repeat(h.values, c, axis=0).ravel() for h, c in zip(spectra, copies)]))
+    bound = max(h.bound for h in spectra)
     if zero_tol is None:
         zero_tol = ZERO_TOL_RELATIVE * (float(max(abs(values[0]), abs(values[-1]))) or 1.0)
     zero_tol = max(zero_tol, bound)

@@ -260,12 +260,12 @@ def test_criterion_8_property_suite(reference_reports):
         if np.max(np.abs(gram - np.eye(30))) > 1e-10:
             failures.append(f"{label}: basis not orthonormal to 1e-10")
 
-    # eigensolver residuals
+    # eigenvalue error bound
     for label in ("3/2", "4/3"):
         report, _ = reference_reports[label]
         est = eigen_symmetric(assemble(catalog_surface(*map(int, label.split("/"))), 41 if label == "3/2" else 49))
         if est.residual_bound > 1e-10 * est.norm:
-            failures.append(f"{label}: eigen residual {est.residual_bound:.3g}")
+            failures.append(f"{label}: eigenvalue error bound {est.residual_bound:.3g}")
 
     # mean-curvature rescaling leaves counts alone
     for ell, n, m in ((3, 2, 41), (4, 3, 49)):

@@ -11,6 +11,7 @@ sector key.
 
 import functools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from wente_index.basis import enumerate_basis
 from wente_index.bounds import default_m, full_report
 from wente_index.cli import main
 from wente_index.reference import REFERENCE_ESTIMATES
-from wente_index.spectrum import eigen_symmetric
+from wente_index.spectrum import eigen_symmetric, half_spectra
 from wente_index.surface import CATALOG, ParameterError, catalog_surface, lattice
 
 from oracles import cos_coefficient, sector_positions
@@ -58,14 +59,38 @@ def _dense_gather(fld, basis):
     return a
 
 
+def _sector_sizes(matrix):
+    """{(c, wave_y mod 2, phase): functions} of every sector, read from the halves' labels.
+
+    A closed sector's even and odd halves add up to it, an open one is its
+    whole half, and a half of phase "both" stands for a cosine sector and
+    its sine twin alike.
+    """
+    sizes = Counter()
+    for stack, labels in zip(matrix.stacks, matrix.labels):
+        for label in labels:
+            for phase in ("cos", "sin") if label["phase"] == "both" else (label["phase"],):
+                sizes[int(label["c"]), int(label["y_parity"]), phase] += stack.shape[1]
+    return dict(sizes)
+
+
 def _functions(matrix):
-    """Functions the halves account for, each half weighed by the copies of its spectrum."""
-    return sum(int(c.sum()) * stack.shape[1] for stack, c in zip(matrix.stacks, matrix.copies))
+    """Functions the halves account for, a half of phase "both" twice."""
+    return sum(_sector_sizes(matrix).values())
 
 
 def _twinned(matrix):
-    """Functions of the sine twins, which the halves counted twice stand for."""
-    return sum(int(np.count_nonzero(c == 2)) * stack.shape[1] for stack, c in zip(matrix.stacks, matrix.copies))
+    """Functions of the sine twins, which the halves of phase "both" stand for."""
+    return sum(
+        stack.shape[1] * int(np.count_nonzero(labels["phase"] == "both"))
+        for stack, labels in zip(matrix.stacks, matrix.labels)
+    )
+
+
+def _label(basis, n, pos):
+    """(c, wave_y mod 2, phase) of the sector at positions pos, from its first function."""
+    a = int(basis.wave_x[pos[0]])
+    return min(a % (2 * n), -a % (2 * n)), int(basis.wave_y[pos[0]] % 2), "sin" if basis.sine[pos[0]] else "cos"
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,9 +104,8 @@ def test_blocks_partition_the_positions(ell, n, m):
     matrix, _ = _case(ell, n, m)
     sectors = sector_positions(matrix.basis, n)
     assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(m))
-    # the library's sector key gives the same partition, in the same order
-    _, order, sizes = assembly_mod._sectors(matrix.basis, n)
-    assert [s.tolist() for s in np.split(order, np.cumsum(sizes)[:-1])] == [s.tolist() for s in sectors]
+    # the halves' labels name the same sectors, each of the same size
+    assert _sector_sizes(matrix) == {_label(matrix.basis, n, pos): len(pos) for pos in sectors}
     for pos in sectors:
         assert np.all(np.diff(pos) > 0)
         assert len(set(matrix.basis.sine[pos].tolist())) == 1
@@ -89,7 +113,9 @@ def test_blocks_partition_the_positions(ell, n, m):
     sizes = [stack.shape[1] for stack in matrix.stacks]
     assert sizes == sorted(set(sizes))
     assert all(stack.shape[1:] == (k, k) for stack, k in zip(matrix.stacks, sizes))
-    assert [len(c) for c in matrix.copies] == [len(stack) for stack in matrix.stacks]
+    assert [len(labels) for labels in matrix.labels] == [len(stack) for stack in matrix.stacks]
+    doubled = [(labels["phase"] == "both").tolist() for labels in matrix.labels]
+    assert [c.tolist() for c in matrix.copies] == [[2 if twin else 1 for twin in both] for both in doubled]
     assert _functions(matrix) == m
 
 
@@ -192,6 +218,52 @@ def test_halves_hold_every_function_and_the_dense_spectrum(ell, n, m):
     dense = np.linalg.eigvalsh(matrix.entries)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(eigen_symmetric(matrix).eigenvalues - dense)) <= 1e-13 * scale
+
+
+def _labelled_spectrum(matrix):
+    """(eigenvalue, label) of every eigenvalue of A_m, a half's as often as its copies say."""
+    return [
+        (float(value), tuple(label.tolist()))
+        for spectra, copies in zip(half_spectra(matrix), matrix.copies)
+        for values, label, copy in zip(spectra.values, spectra.labels, copies)
+        for value in np.repeat(values, copy)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ell,n,m", [(3, 2, 2113), (4, 3, 2025), (7, 6, 2113)], ids=["3/2@2113", "4/3@2025", "7/6@2113"]
+)
+def test_the_six_smallest_eigenvalues_lie_in_the_kernel_classes(ell, n, m):
+    # the truncated kernel: two in class n, wave_y odd, sine, one per mirror
+    # half, and four in class 2n - l, wave_y even, a cosine twin counted
+    # twice, two per mirror half (5/3 is not converged at this size)
+    spectrum = sorted(_labelled_spectrum(_fold_case(ell, n, m)), key=lambda pair: abs(pair[0]))
+    c = 2 * n - ell
+    kernel = [(n, 1, "sin", "even"), (n, 1, "sin", "odd")] + 2 * [(c, 0, "both", "even"), (c, 0, "both", "odd")]
+    assert Counter(label for _, label in spectrum[:6]) == Counter(kernel)
+
+
+@pytest.mark.parametrize(
+    "ell,n,ladder,totals",
+    [
+        (3, 2, (181, 1013, 2113), (11, 14, 14)),
+        (4, 3, (81, 1089, 2025), (10, 10, 10)),
+        (7, 6, (145, 1013, 2113), (54, 54, 54)),
+    ],
+    ids=["3/2", "4/3", "7/6"],
+)
+def test_no_half_loses_a_negative_as_m_grows(ell, n, ladder, totals):
+    # shell-complete truncations nest each half in the next one's, so by
+    # interlacing no half's count below a fixed shift may fall; the report's
+    # zero band grows with ||A||, so a fixed -1e-3 is the shift
+    before = Counter()
+    for m, total in zip(ladder, totals):
+        counts = Counter()
+        for value, label in _labelled_spectrum(_fold_case(ell, n, m)):
+            counts[label] += value < -1e-3
+        assert [label for label in before if counts[label] < before[label]] == []
+        assert sum(counts.values()) == total
+        before = counts
 
 
 @pytest.mark.parametrize("ell,n,m,opened", [(3, 2, 100, True), (4, 3, 50, False), (4, 3, 52, True)])
@@ -297,7 +369,8 @@ def test_halves_are_the_fold_of_the_dense_sector_blocks(ell, n, m):
     # representatives, the even half is X + Y between pair members and the
     # odd one X - Y, sqrt(2) X between a pair member and a self-mirror, X
     # between self-mirrors; an open sector is its own block.  Halves come
-    # ascending in size, then by sector and parity, bit for bit
+    # ascending in size, then by sector and parity, bit for bit, each
+    # labelled with its sector, "both" for a twin, and its mirror parity
     matrix = _fold_case(ell, n, m)
     basis, a = matrix.basis, matrix.entries
     partner, sign = mirror_partners(basis)
@@ -313,13 +386,19 @@ def test_halves_are_the_fold_of_the_dense_sector_blocks(ell, n, m):
                 continue
             x, y, one = a[np.ix_(mem, mem)], a[np.ix_(mem, mirror[mem])], mirror[mem] != mem
             fold = np.where(one[:, None] & one, x + h * y, np.where(one[:, None] == one, x, np.sqrt(2.0) * x))
-            copies = 2 if tuple(pos.tolist()) in doubled else 1
-            expected.append((len(mem), 2 * number + parity, fold, copies))
+            c, y_parity, phase = _label(basis, n, pos)
+            phase = "both" if tuple(pos.tolist()) in doubled else phase
+            label = c, y_parity, phase, ("even", "odd")[parity] if closed else "whole"
+            expected.append((len(mem), 2 * number + parity, fold, label))
     expected.sort(key=lambda half: half[:2])
-    got = [(half, int(c)) for stack, cs in zip(matrix.stacks, matrix.copies) for half, c in zip(stack, cs)]
+    got = [
+        (half, label.tolist())
+        for stack, labels in zip(matrix.stacks, matrix.labels)
+        for half, label in zip(stack, labels)
+    ]
     assert len(got) == len(expected)
-    for (half, copies), (k, _, fold, want) in zip(got, expected):
-        assert half.shape == (k, k) and copies == want
+    for (half, label), (k, _, fold, want) in zip(got, expected):
+        assert half.shape == (k, k) and label == want
         assert half.tobytes() == fold.tobytes()
 
 
@@ -417,15 +496,14 @@ def test_row_chunks_gather_the_bits_of_one_gather(monkeypatch, ell, n, m, chunk)
     # stands alone, give the halves (3/2@100 ends on an open sine sector) and
     # the dense entries, signed zeros included, of a single gather
     p = catalog_surface(ell, n)
-    basis = enumerate_basis(lattice(p), m)
 
     def gathered():
         matrix = assemble(p, m)
         dense = matrix.entries.tobytes() if m == 181 else None
-        return [s.tobytes() for s in matrix.stacks], [c.tolist() for c in matrix.copies], dense
+        return [s.tobytes() for s in matrix.stacks], [labels.tolist() for labels in matrix.labels], dense
 
     monkeypatch.setattr(assembly_mod, "_CHUNK_PAIRS", m * m)
     whole = gathered()
-    widest = int(assembly_mod._sectors(basis, n)[2].max())
+    widest = max(_sector_sizes(assemble(p, m)).values())
     monkeypatch.setattr(assembly_mod, "_CHUNK_PAIRS", chunk if chunk > 0 else widest - 1)
     assert gathered() == whole
