@@ -15,10 +15,9 @@ basis splits into an even and an odd half in the orthonormal basis
 b_ij reads the waves only through |w_i -+ w_j| componentwise and alpha
 through the squares of their frequencies, so A_{Ri,Rj} = sign_i sign_j
 A_ij bit for bit, and gather_pairs makes A_ij and A_ji the same bits.  So
-one row per mirror pair is gathered, from its own column on, with the
-columns ordered as each representative followed by its partner: every
-unordered in-half pair is read once, and each half is folded on its upper
-triangle and mirrored.
+only one function per mirror pair is gathered: each pair of these
+representatives i <= j is read once as A_ij and once as A_{i,Rj}, which
+give its entry in both halves, and each entry is mirrored.
 
 A class c = min(a mod 2n, -a mod 2n) other than 0 and n is complex: for two
 functions of its sectors one of w_i -+ w_j has x wave +-2c mod 2n, off the
@@ -72,16 +71,14 @@ __all__ = [
 # Samples per period cell; resolves every catalogued potential (and theta up
 # to 24.5 degrees) to about 1e-11 relative.
 DEFAULT_GRID = 256
-# Peak bytes of assemble per gathered pair (a gathered row against one column of its sector at or after its
-# own: the flat gather and the stacks it folds into) beyond one chunk.  tracemalloc reads 25.5, 25.9 and 26.7
-# bytes per pair in all at 3/2@8065, 4/3@6001 and 4/3@4325; the rest is headroom.
-SECTOR_PAIR_BYTES = 28
-_CHUNK_PAIRS = 1 << 14
-# One chunk's index arrays, wave sums and their coefficients, or its folded entries: tracemalloc reads 74 to 90
-# bytes per pair; the guard counts 100.
-_CHUNK_BYTES = 100 * _CHUNK_PAIRS
+# Representative pairs per chunk, each gathered twice (X and Y).  Twice as many raised perfbench's large_m op_s.p50
+# from 15.9 to 18.3 ms (2-vCPU Xeon, 5 of 6 pairs) and the assemble peak at 3/2@2113 from 2.9 to 4.3 MB.
+_CHUNK_PAIRS = 1 << 13
+# One chunk's index arrays, its two gathers with their wave sums and coefficients, and the entries they fold into:
+# tracemalloc reads 104 to 175 bytes per pair; the guard counts 200.
+_CHUNK_BYTES = 200 * _CHUNK_PAIRS
 # The signed table while _signed_table builds it: tracemalloc reads 18 to 26 bytes per wave (8 once built).  The
-# basis and the fold plan hold 69 to 82 bytes per function, and the gather's and the fold's index arrays 48 more.
+# basis and the fold plan hold 87 to 89 bytes per function, and the gather's wave codes 16 more.
 _TABLE_BYTES, _FUNCTION_BYTES = 24, 128
 
 
@@ -211,24 +208,24 @@ def mirror_partners(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     return partner, np.where((a == 0) & sine, -1.0, 1.0)
 
 
-def _pair_chunks(rows: np.ndarray, first: np.ndarray, width: np.ndarray, cols: np.ndarray):
-    """(at, i, j) for each row i = rows[r] against cols[first[r]:first[r] + width[r]], row after row, in chunks of whole rows.
+def _pair_chunks(cols: np.ndarray, first: np.ndarray, width: np.ndarray):
+    """(i, j) per row i = cols[r] against cols[first[r]:first[r] + width[r]], row after row, in chunks of whole rows.
 
-    at is the chunk's slice of the whole; a chunk holds at most _CHUNK_PAIRS pairs, or one row.
+    A chunk holds at most _CHUNK_PAIRS pairs, or one row.
     """
     ends = np.cumsum(width)
     shift = first - ends + width
     a = begin = 0
-    while a < len(rows):
+    while a < len(cols):
         b = max(a + 1, int(np.searchsorted(ends, begin + _CHUNK_PAIRS, side="right")))
         col = np.repeat(shift[a:b], width[a:b])
         col += np.arange(begin, ends[b - 1])
-        yield slice(begin, ends[b - 1]), np.repeat(rows[a:b], width[a:b]), cols[col]
+        yield np.repeat(cols[a:b], width[a:b]), cols[col]
         a, begin = b, int(ends[b - 1])
 
 
 def gather_pairs(fld: PotentialField, basis: Basis, chunks):
-    """(at, i, j, a) per chunk (at, i, j): a = alpha_i delta_ij - b_ij at pairs (i[k], j[k]).
+    """(i, j, a) per chunk (i, j): a = alpha_i delta_ij - b_ij at pairs (i[k], j[k]).
 
     A same-phase pair reduces to the cosine coefficients at the wave
     difference and the wave sum: b_ij = n_i n_j area * 0.5 * (C[w_i - w_j]
@@ -241,14 +238,14 @@ def gather_pairs(fld: PotentialField, basis: Basis, chunks):
     table, width = _signed_table(fld, reach_x, reach_y), 2 * reach_y + 1
     code = basis.wave_x * width + basis.wave_y
     shifted = code + (reach_x * width + reach_y)
-    for part, i, j in chunks:
+    for i, j in chunks:
         at, other = shifted[i], code[j]
         diff, total = _read(fld, table, width, at - other), _read(fld, table, width, at + other)
         np.negative(total, out=total, where=basis.sine[i])
         a = basis.norm[i] * basis.norm[j] * fld.area * (-0.5 * (diff + total))
         diagonal = np.flatnonzero(i == j)
         a[diagonal] += basis.alpha[i[diagonal]]
-        yield part, i, j, a
+        yield i, j, a
 
 
 def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
@@ -258,16 +255,17 @@ def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
     """
     _, order, sizes = _sectors(basis, fld.surface.n)
     out = np.where(basis.sine[:, None] == basis.sine, -0.0, 0.0)
-    chunks = _pair_chunks(order, np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes), order)
-    for _, i, j, a in gather_pairs(fld, basis, chunks):
+    chunks = _pair_chunks(order, np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes))
+    for i, j, a in gather_pairs(fld, basis, chunks):
         out[i, j] = a
     return out
 
 
-# Gathered rows, each against cols[first:first + width]; the sector sizes; the half sizes, ascending, and their
-# labels; per half member (half after half): base, with flat[base + place] its row's entry at a column's place in
-# cols, its own place and its mirror's, its sign (+1 even, -1 odd, 0 self) and 1.0 for a pair member (0.0 self).
-_Fold = namedtuple("_Fold", "rows first width cols sizes half_sizes labels base place mirror sign pair")
+# The representatives, sector after sector, each gathered against the width representatives of its sector from its
+# own on; each function's mirror (itself in an open sector) and 1.0 for a pair member (0.0 self); per parity (even,
+# odd) and function, where its row starts in the halves and its column within its half, -1 off the half; the sector
+# sizes; the half sizes, ascending, and their labels.
+_Fold = namedtuple("_Fold", "cols width mirror pair row_at col_at sizes half_sizes labels")
 
 # A half's class c = min(+-wave_x mod 2n), wave_y mod 2, phase ("cos", "sin", or "both": a complex class's cosine
 # half standing for its sine twin too) and mirror parity ("even", "odd", or "whole": a sector left open).
@@ -277,17 +275,13 @@ HALF_LABEL = np.dtype([("c", "i8"), ("y_parity", "i8"), ("phase", "U4"), ("mirro
 def _fold_plan(basis: Basis, n: int) -> _Fold:
     """Split each sector whose mirror partners are all in the basis; keep the others whole.
 
-    A closed sector gathers the rows of its representatives (a pair member
-    whose partner comes later, or a self-mirror) and splits into an even
-    half (the pairs and the self-mirrors of sign +1) and an odd one (the
-    pairs and those of sign -1).  Its columns run representative, partner,
-    representative, ... by the representatives' positions, and each row
-    reads only from its own column on: the in-half pairs of the
-    representatives at or after it, so each unordered pair is read once.  A
-    sector kept whole is its own representatives and reads its upper
-    triangle.  The sine sector of a complex class that holds the cosine
-    sector's modes gathers nothing: the cosine sector's halves, labelled
-    "both", count twice.  No array has more entries than the basis.
+    A closed sector's representatives (a pair member whose partner comes
+    later, or a self-mirror) make an even half (the pairs and the
+    self-mirrors of sign +1) and an odd one (the pairs and those of sign
+    -1).  A sector kept whole is its own representatives.  The sine sector
+    of a complex class that holds the cosine sector's modes gathers nothing:
+    the cosine sector's halves, labelled "both", count twice.  No array has
+    more entries than twice the basis.
     """
     key, _, sizes = _sectors(basis, n)
     partner, mirror_sign = mirror_partners(basis)
@@ -299,14 +293,8 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     cls, per_key = np.arange(key.max() + 2), np.bincount(key, minlength=key.max() + 2)
     twin = (cls % 2 == 1) & (cls // 4 % n != 0) & (per_key == np.roll(per_key, 1))
     pair, row = mirror != here, (mirror >= here) & ~twin[key]
-    cols = np.argsort((key * len(here) + np.minimum(mirror, here)) * 2 + (mirror < here))
-    place = np.empty_like(here)
-    place[cols] = here
-    rows = cols[row[cols]]
-    first = place[rows]
-    width = np.repeat(np.cumsum(sizes), sizes)[first] - first
-    base = np.empty_like(here)
-    base[rows] = np.cumsum(width) - width - first
+    cols = np.flatnonzero(row)[np.argsort(key[row], kind="stable")]
+    width = np.searchsorted(key[cols], key[cols], side="right") - np.arange(len(cols))
     even = np.flatnonzero(row & (pair | (mirror_sign > 0) | ~closed))
     odd = np.flatnonzero(row & closed & (pair | (mirror_sign < 0)))
     members = np.concatenate([even, odd])
@@ -315,13 +303,15 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     pick = np.lexsort((members, half, counts[half]))
     members, half = members[pick], half[pick]
     halves = np.argsort(counts, kind="stable")[-np.count_nonzero(counts):]
-    sign = np.where(pair[members], 1.0 - 2.0 * (half % 2), 0.0)
-    member = base[members], place[members], place[mirror[members]], sign, pair[members].astype(float)
+    k, half_sizes = counts[half], counts[halves]
+    row_at, col_at = np.full((2, len(here)), -1), np.full((2, len(here)), -1)
+    row_at[half % 2, members] = np.cumsum(k) - k
+    col_at[half % 2, members] = np.arange(len(k)) - np.repeat(np.cumsum(half_sizes) - half_sizes, half_sizes)
     hkey, labels = halves // 2, np.empty(len(halves), HALF_LABEL)
     labels["c"], labels["y_parity"] = hkey // 4, hkey // 2 % 2
     labels["phase"] = np.where(twin[hkey + 1], "both", np.where(hkey % 2, "sin", "cos"))
     labels["mirror"] = np.where(opened[hkey], "whole", np.where(halves % 2, "odd", "even"))
-    return _Fold(rows, first, width, cols, sizes, counts[halves], labels, *member)
+    return _Fold(cols, width, mirror, pair.astype(float), row_at, col_at, sizes, half_sizes, labels)
 
 
 def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[np.ndarray, ...], tuple]:
@@ -330,26 +320,24 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
     In the basis (u_i +- u_Ri) / sqrt(2) of a pair and u_i of a self-mirror,
     with X = A[i, j] and Y = A[i, R j]: a pair-pair entry is X + Y in the
     even half and X - Y in the odd one, pair-self sqrt(2) X, self-self X.
-    The halves are symmetric bit for bit: each member's row is folded from
-    the diagonal on, in the chunks of the gather, and mirrored.  The halves
-    lie row after row in one array, a member's row at row_at.
+    Each pair of representatives i <= j is gathered as X and as Y, and its
+    entry in each half that holds both is written at (i, j) and (j, i), so
+    the halves are symmetric bit for bit.  They lie row after row in one
+    array, a member's row at row_at.
     """
-    flat = np.empty(int(plan.width.sum()))
-    for at, _, _, a in gather_pairs(fld, basis, _pair_chunks(plan.rows, plan.first, plan.width, plan.cols)):
-        flat[at] = a
-    k = np.repeat(plan.half_sizes, plan.half_sizes)
-    members, row_at = np.arange(len(k)), np.cumsum(k) - k
-    local = members - np.repeat(np.cumsum(plan.half_sizes) - plan.half_sizes, plan.half_sizes)
-    out = np.empty(int(k.sum()))
-    for _, i, j in _pair_chunks(members, members, k - local, members):
-        at = plan.base[i]
-        x = flat[at + plan.place[j]]
+    out = np.empty(int(plan.half_sizes @ plan.half_sizes))
+    chunks = _pair_chunks(plan.cols, np.arange(len(plan.cols)), plan.width)
+    # each chunk's X, then its Y
+    gathered = gather_pairs(fld, basis, ((i, js) for i, j in chunks for js in (j, plan.mirror[j])))
+    for (i, j, x), (_, _, y) in zip(gathered, gathered):
         pair = plan.pair[i]
         x *= np.where(pair == plan.pair[j], 1.0, np.sqrt(2.0))
-        at += plan.mirror[j]
-        x += flat[at] * (pair * plan.sign[j])
-        out[row_at[i] + local[j]] = x
-        out[row_at[j] + local[i]] = x
+        y *= pair * plan.pair[j]
+        for row_at, col_at, entry in zip(plan.row_at, plan.col_at, (x + y, x - y)):
+            both = np.flatnonzero((col_at[i] >= 0) & (col_at[j] >= 0))
+            r, c, entry = i[both], j[both], entry[both]
+            out[row_at[r] + col_at[c]] = entry
+            out[row_at[c] + col_at[r]] = entry
     sizes, counts = np.unique(plan.half_sizes, return_counts=True)
     ends = np.cumsum(counts * sizes * sizes)
     stacks = [part.reshape(-1, size, size) for part, size in zip(np.split(out, ends[:-1]), sizes.tolist())]
@@ -376,9 +364,9 @@ class GalerkinMatrix:
         return stability_matrix(self.fld, self.basis)
 
 
-def _refuse_beyond_memory(m: int, pairs: float, blocks: str, largest, more: int = 0) -> None:
-    """ParameterError when that many gathered pairs plus more bytes would not fit in physical memory."""
-    need, have = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES + more, _physical_memory()
+def _refuse_beyond_memory(m: int, entries: float, blocks: str, largest, more: int = 0) -> None:
+    """ParameterError when that many half entries plus more bytes would not fit in physical memory."""
+    need, have = 8 * entries + _CHUNK_BYTES + more, _physical_memory()
     if need > have:
         raise ParameterError(
             f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {blocks} "
@@ -390,22 +378,22 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
     """Assemble the m x m truncation of -Laplacian - V as its reflection halves.
 
     V is sampled over the basis, or read from the cache.  An m whose
-    gathered pairs would not fit in physical memory raises ParameterError
-    before V is sampled or any entry gathered; one that cannot fit whatever
-    the sectors raises it before the basis is enumerated.
+    halves would not fit in physical memory raises ParameterError before V
+    is sampled or any entry gathered; one that cannot fit whatever the
+    sectors raises it before the basis is enumerated.
     """
     # wave_x classes 0..n up to sign, two wave_y parities and two phases make
     # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
     # in-sector pairs; gathered sectors hold at least half (a skipped twin is
-    # as large as its cosine), and a sector of s functions reads at least
-    # s^2 / 4: the i-th representative's row starts at column 2i at most
+    # as large as its cosine), and the halves of a sector of s functions hold
+    # at least s^2 / 2 entries: e^2 + o^2 with e + o = s
     most = 4 * (p.n + 1)
-    least = m * m / (8 * most)
-    _refuse_beyond_memory(m, least, f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
+    _refuse_beyond_memory(m, m * m / (4 * most), f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     basis = enumerate_basis(lattice(p), m)
     plan, (reach_x, reach_y) = _fold_plan(basis, p.n), _reach(basis)
     more = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1) + _FUNCTION_BYTES * m
-    _refuse_beyond_memory(m, int(plan.width.sum()), f"{len(plan.sizes)} symmetry blocks", max(plan.sizes), more)
+    entries = int(plan.half_sizes @ plan.half_sizes)
+    _refuse_beyond_memory(m, entries, f"{len(plan.sizes)} symmetry blocks", max(plan.sizes), more)
     fld = potential_field(p, basis, cfg or AssemblyConfig())
     stacks, labels = _half_stacks(fld, basis, plan)
     return GalerkinMatrix(m=m, stacks=stacks, labels=labels, basis=basis, fld=fld)
@@ -469,7 +457,8 @@ def cached_sample_potential(
     """sample_potential with a directory-backed cache of coefficient tables.
 
     A missing or unreadable file is a miss: the table is sampled again and
-    the file rewritten; an unusable directory raises ParameterError first.
+    the file rewritten.  A directory that cannot be made (checked before
+    sampling) or written raises ParameterError.
     """
     if cache_dir is None:
         return sample_potential(p, nx, ny, pmax, qmax)
@@ -480,8 +469,8 @@ def cached_sample_potential(
         pass
     try:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        fld = sample_potential(p, nx, ny, pmax, qmax)
+        write_field_cache(fld, path)
     except OSError as exc:
         raise ParameterError(f"cache directory {cache_dir} is unusable: {exc.strerror}") from exc
-    fld = sample_potential(p, nx, ny, pmax, qmax)
-    write_field_cache(fld, path)
     return fld

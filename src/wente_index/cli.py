@@ -461,8 +461,11 @@ def cmd_cache(args) -> int:
         }
         _emit(args, payload, _render_cache_text)
         return 0
-    for path in entries:
-        path.unlink()
+    try:
+        for path in entries:
+            path.unlink()
+    except OSError as exc:
+        raise UsageError(f"cache directory {directory} is unusable: {exc.strerror}") from exc
     print(f"removed {len(entries)} cached table(s) from {directory}")
     return 0
 

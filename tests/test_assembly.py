@@ -286,7 +286,7 @@ class TestAssemble:
 
     def test_memory_guard_refuses_before_sampling(self, w32, monkeypatch):
         import wente_index.assembly as assembly_mod
-        from wente_index.assembly import _CHUNK_BYTES, _FUNCTION_BYTES, _TABLE_BYTES, SECTOR_PAIR_BYTES
+        from wente_index.assembly import _CHUNK_BYTES, _FUNCTION_BYTES, _TABLE_BYTES
         from wente_index.assembly import mirror_partners
         from wente_index.surface import ParameterError
 
@@ -296,27 +296,29 @@ class TestAssemble:
         monkeypatch.setattr(assembly_mod, "cached_sample_potential", never)
         monkeypatch.setattr(assembly_mod, "gather_pairs", never)
         basis = enumerate_basis(lattice(w32), 1013)
-        partner, _ = mirror_partners(basis)
-        # a sector closed under the mirror gathers the rows of one function
-        # per mirror pair and of each self-mirror, an open one every row; the
-        # sine sector of a complex class (wave_x = +-1 mod 4) whose functions
-        # all have their cosines gathers none.  A row reads the functions
-        # whose pair (or self) comes at or after its own: a pair is one read
-        # with its partner, so each unordered in-half pair is read once
-        pairs = 0
+        partner, sign = mirror_partners(basis)
+        # a sector closed under the mirror splits into an even half (its
+        # mirror pairs and the self-mirrors of sign +1) and an odd one (the
+        # pairs and those of sign -1), an open one stays whole; the sine
+        # sector of a complex class (wave_x = +-1 mod 4) whose functions all
+        # have their cosines is left out
+        entries = 0
         for s in sector_positions(basis, w32.n):
             if basis.sine[s[0]] and basis.wave_x[s[0]] % 2 == 1 and s[-1] + 1 < len(basis):
                 continue
-            closed = np.all(partner[s] >= 0)
-            first = np.minimum(s, partner[s]) if closed else s
-            pairs += sum(int(np.sum(first >= row)) for row in s[first == s])
-        # the guard charges those pairs (18,316), one chunk, the signed table of
-        # every wave the products reach (|wave_x|, |wave_y| <= 44) and each
-        # function, 2.47 MB; before enumerating it charges the floor of
-        # 1013^2 / 96 pairs, 1.94 MB
+            if np.all(partner[s] >= 0):
+                pairs = int(np.sum(partner[s] != s)) // 2
+                selfs = sign[s[partner[s] == s]]
+                entries += (pairs + int(np.sum(selfs > 0))) ** 2 + (pairs + int(np.sum(selfs < 0))) ** 2
+            else:
+                entries += len(s) ** 2
+        # the guard charges 8 bytes per half entry (32,512), one chunk, the
+        # signed table of every wave the products reach (|wave_x|, |wave_y| <=
+        # 44) and each function, 2.22 MB; before enumerating it charges the
+        # floor of 1013^2 / 48 entries and one chunk, 1.81 MB
         reach_x, reach_y = 2 * np.abs(basis.wave_x).max(), 2 * np.abs(basis.wave_y).max()
         table = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1)
-        need = SECTOR_PAIR_BYTES * pairs + _CHUNK_BYTES + table + _FUNCTION_BYTES * 1013
+        need = 8 * entries + _CHUNK_BYTES + table + _FUNCTION_BYTES * 1013
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match="m = 1013 needs about"):
             assemble(w32, 1013)
@@ -334,10 +336,9 @@ class TestAssemble:
         monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
         # 3/2 has at most 12 sectors, so A_1200 holds at least 1200^2 / 12
         # in-sector pairs; at least half lie in gathered sectors (a skipped
-        # sine twin is as large as its cosine), which read at least a quarter
-        # of their square from the rows' own columns on, and one chunk: 2.06 MB
-        # at SECTOR_PAIR_BYTES = 28
-        need = assembly_mod.SECTOR_PAIR_BYTES * 1200**2 // 96 + assembly_mod._CHUNK_BYTES
+        # sine twin is as large as its cosine), whose halves hold at least
+        # half their square: 8 bytes per half entry and one chunk, 1.88 MB
+        need = 8 * 1200**2 // 48 + assembly_mod._CHUNK_BYTES
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
             assemble(w32, 1200)

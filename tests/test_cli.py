@@ -1,8 +1,10 @@
 import csv
+import errno
 import io
 import json
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -446,6 +448,30 @@ class TestCache:
         assert out == ""
         assert err.startswith(f"error: cache directory {target} is unusable: ") and err.count("\n") == 1
         assert blocker.read_bytes() == b"not a directory"
+
+    @pytest.mark.parametrize("action", ["report", "clear"])
+    def test_unwritable_cache_dir_is_usage_error(self, capsys, tmp_path, monkeypatch, action):
+        # a directory that takes no writes fails the table's write or the
+        # clear's unlink: one error line naming it, exit 2 (faked, since
+        # chmod cannot keep root from writing)
+        monkeypatch.delenv("WENTE_CACHE_DIR", raising=False)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied")
+
+        if action == "report":
+            monkeypatch.setattr(tempfile, "mkstemp", refuse)
+            argv = ["report", "--surface", "3/2"]
+        else:
+            run_cli(capsys, "report", "--surface", "3/2", "--m", "41", "--cache-dir", str(tmp_path))
+            monkeypatch.setattr(Path, "unlink", refuse)
+            argv = ["cache", "clear"]
+        kept = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--cache-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert capsys.readouterr() == ("", f"error: cache directory {tmp_path} is unusable: Permission denied\n")
+        assert sorted(tmp_path.iterdir()) == kept
 
     def test_cache_without_dir_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.delenv("WENTE_CACHE_DIR", raising=False)

@@ -405,30 +405,40 @@ def test_halves_are_the_fold_of_the_dense_sector_blocks(ell, n, m):
 @pytest.mark.filterwarnings("ignore:basis size")
 @pytest.mark.parametrize(
     "ell,n,m,pairs",
-    [(3, 2, 2113, 76273), (4, 3, 2025, 91091), (3, 2, 100, None), (4, 3, 52, None), (7, 6, 52, None)],
+    [(3, 2, 2113, 39865), (4, 3, 2025, 47081), (3, 2, 100, None), (4, 3, 52, None), (7, 6, 52, None)],
     ids=["3/2@2113", "4/3@2025", "3/2@100", "4/3@52", "7/6@52"],
 )
 def test_each_row_gathers_its_sector_from_its_own_column_on(monkeypatch, ell, n, m, pairs):
-    # a sector's columns run representative, partner, ... by the
-    # representatives' positions, so a row's own column counts the functions
-    # whose representative comes before it; the gather reads size - column
+    # each representative's row reads the representatives of its sector
+    # from its own on (X = A[i, j]), and the next gather reads the same rows
+    # against their mirrors (Y = A[i, R j], R the identity in an open
+    # sector): every pair of representatives is gathered once as X and once
+    # as Y, and nothing else is gathered
     p = catalog_surface(ell, n)
-    want = sum(
-        len(pos) - int(np.sum(first < row)) for pos, reps, first in _gathered_rows(enumerate_basis(lattice(p), m), n)
-        for row in reps
-    )
+    basis = enumerate_basis(lattice(p), m)
+    partner, _ = mirror_partners(basis)
+    want, mirror = Counter(), np.arange(m)
+    for pos, reps, _ in _gathered_rows(basis, n):
+        if np.all(partner[pos] >= 0):
+            mirror[pos] = partner[pos]
+        row, col = np.triu_indices(len(reps))
+        want.update(zip(reps[row].tolist(), reps[col].tolist()))
     gathered = []
     kernel = assembly_mod.gather_pairs
 
-    def counting(fld, basis, chunks):
-        for part, i, j, a in kernel(fld, basis, chunks):
-            gathered.append(len(i))
-            yield part, i, j, a
+    def recording(fld, basis, chunks):
+        for i, j, a in kernel(fld, basis, chunks):
+            gathered.append((i, j))
+            yield i, j, a
 
-    monkeypatch.setattr(assembly_mod, "gather_pairs", counting)
+    monkeypatch.setattr(assembly_mod, "gather_pairs", recording)
     assemble(p, m)
-    assert sum(gathered) == want
-    assert pairs is None or want == pairs
+    xs, ys = gathered[::2], gathered[1::2]
+    assert len(xs) == len(ys)
+    assert Counter(pair for i, j in xs for pair in zip(i.tolist(), j.tolist())) == want
+    for (i, j), (i_y, j_y) in zip(xs, ys):
+        assert np.array_equal(i_y, i) and np.array_equal(j_y, mirror[j])
+    assert pairs is None or sum(want.values()) == pairs
 
 
 def _small_memory(monkeypatch, nbytes):
@@ -443,12 +453,12 @@ def test_guard_admits_3_2_at_2113_in_64_mib(monkeypatch):
 
 
 def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
-    # 5305 functions in at most 12 sectors gather at least 5305^2 / 96
-    # pairs (9.8 MB at SECTOR_PAIR_BYTES = 28 and one 1.6 MB chunk); the 12
-    # sectors of 3/2 gather 464491 (16.3 MB with the signed table and the
-    # functions, the sine twins excluded): in 12 MiB (12.6 MB) the exact
-    # count refuses, after enumerating
-    _small_memory(monkeypatch, 12 * 2**20)
+    # 5305 functions in at most 12 sectors make halves of at least 5305^2 /
+    # 48 entries (4.7 MB at 8 bytes each, 6.3 MB with one chunk); the halves
+    # of 3/2's 12 sectors hold 881791 (10.4 MB with the chunk, the signed
+    # table and the functions, the sine twins excluded): in 8 MiB (8.4 MB)
+    # the exact count refuses, after enumerating
+    _small_memory(monkeypatch, 8 * 2**20)
     p = catalog_surface(3, 2)
     largest = max(len(s) for s in sector_positions(enumerate_basis(lattice(p), 5305), 2))
     with pytest.raises(SystemExit) as info:
@@ -457,6 +467,23 @@ def test_guard_refuses_a_block_that_does_not_fit(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: m = 5305 needs about")
     assert f"the largest has {largest} functions" in err
+
+
+# sizes that cut a shell (3/2@100 ends on an open sine sector), and the one
+# whose halves come nearest the floor over the catalogue at m <= 2113
+FLOOR_CASES = [(3, 2, 100), (4, 3, 52), (3, 2, 50), (5, 4, 26), (73, 72, 300), (21, 20, 2113)]
+
+
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize(
+    "ell,n,m", FOLD_CASES + FLOOR_CASES, ids=FOLD_IDS + [f"{ell}/{n}@{m}" for ell, n, m in FLOOR_CASES]
+)
+def test_halves_hold_no_fewer_entries_than_the_floor_the_guard_checks_first(ell, n, m):
+    # before enumerating, the guard charges m^2 / (16 (n + 1)) half entries;
+    # halves holding fewer could be refused by that floor yet admitted by the
+    # exact charge of 8 bytes per entry (21/20@2113 holds 1.10 times it)
+    entries = sum(stack.size for stack in _fold_case(ell, n, m).stacks)
+    assert entries >= m * m / (16 * (n + 1))
 
 
 @pytest.mark.filterwarnings("ignore:basis size")

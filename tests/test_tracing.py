@@ -16,10 +16,9 @@ import pytest
 import wente_index.assembly as assembly_mod
 import wente_index.bounds as bounds_mod
 from wente_index.assembly import assemble
-from wente_index.basis import enumerate_basis
 from wente_index.bounds import full_report
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import catalog_surface, lattice
+from wente_index.surface import catalog_surface
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,18 +118,27 @@ def test_benchmark_cache_warm_set_up_passes_its_checks(bench, tmp_path, monkeypa
     assert len(list(tmp_path.glob("*.wntpot"))) == 19
 
 
-def test_benchmark_large_m_set_up_passes_its_checks(bench):
+def test_benchmark_large_m_set_up_passes_its_checks(bench, monkeypatch):
     workloads, lib = bench
     outcomes = workloads.LargeMWorkload(lib, seed=1).set_up()
     assert len(outcomes) == 3
     assert _failures(outcomes) == []
-    # a timed pass also runs the larger sizes, each of which gathers more
-    # pairs than one chunk holds, so the pinned counts and the residual
+    # a timed pass also runs the larger sizes, each of which gathers its
+    # halves in more than one chunk, so the pinned counts and the residual
     # check cover the chunked gather
+    chunks = []
+    kernel = assembly_mod.gather_pairs
+
+    def counting(fld, basis, pairs):
+        for chunk in kernel(fld, basis, pairs):
+            chunks[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(assembly_mod, "gather_pairs", counting)
     for label, sizes in workloads.LARGE_M_SIZES.items():
-        p = catalog_surface(*map(int, label.split("/")))
-        plan = assembly_mod._fold_plan(enumerate_basis(lattice(p), sizes[-1]), p.n)
-        assert plan.width.sum() > assembly_mod._CHUNK_PAIRS
+        chunks.append(0)
+        assemble(catalog_surface(*map(int, label.split("/"))), sizes[-1])
+        assert chunks[-1] > 2  # a chunk is gathered twice, as X and as Y
     outcomes = workloads.LargeMWorkload(lib, seed=1).run_pass()[1]
     assert sorted(out.key[1] for out in outcomes) == sorted(workloads.LARGE_M_SIZES.values())
     assert _failures(outcomes) == []
