@@ -32,8 +32,10 @@ assemble(p, m, cfg), the only builder of A_m, enumerates the basis, samples
 V over it (or reads the cache) and returns the labelled halves.  The one
 dense view, stability_matrix on a field and any basis[pos] (published
 index i is position i - 1; GalerkinMatrix.entries is it on the whole
-basis), gathers every pair within a sector through the same kernel,
-gather_pairs, so its bits do not depend on the fold or the twins.
+basis), gathers each pair i <= j within a sector once through the same
+kernel, gather_pairs, and mirrors it, so its bits do not depend on the fold
+or the twins.  Every gather checks once, before its first pair, that the
+stored table covers the lattice waves its products reach.
 """
 
 from __future__ import annotations
@@ -116,29 +118,24 @@ class PotentialField:
         return lattice(self.surface).cell_area
 
 
+def _table_shape(reach_x: int, reach_y: int, n: int) -> tuple[int, int]:
+    """The cosine-coefficient table holding every lattice wave within the reach: wave (2n P, 2 Q) is (P, Q)."""
+    return reach_x // (2 * n) + 1, reach_y // 2 + 1
+
+
 def _signed_table(fld: PotentialField, reach_x: int, reach_y: int) -> np.ndarray:
     """Coefficients at every signed wave |wave_x| <= reach_x, |wave_y| <= reach_y, row-major and flat.
 
     Wave (wx, wy) sits at (wx + reach_x) (2 reach_y + 1) + wy + reach_y;
-    off the lattice (2n, 2) exact 0.0, on it beyond the stored table NaN.
+    off the lattice (2n, 2) exact 0.0.  CoefficientRangeError unless the
+    stored table covers the lattice waves within the reach.
     """
-    step = 2 * fld.surface.n
+    step, need = 2 * fld.surface.n, _table_shape(reach_x, reach_y, fld.surface.n)
+    if need[0] > fld.coeffs.shape[0] or need[1] > fld.coeffs.shape[1]:
+        raise CoefficientRangeError(f"the products need a coefficient table of shape {need}, stored {fld.coeffs.shape}")
     px, qy = np.abs(np.arange(-reach_x, reach_x + 1)), np.abs(np.arange(-reach_y, reach_y + 1))
-    pdim, qdim = fld.coeffs.shape
-    padded = np.full((max(reach_x // step + 1, pdim), max(reach_y // 2 + 1, qdim)), np.nan)
-    padded[:pdim, :qdim] = fld.coeffs
     on = (px % step == 0)[:, None] & (qy % 2 == 0)
-    return np.where(on, padded[px // step][:, qy // 2], 0.0).ravel()
-
-
-def _read(fld: PotentialField, table: np.ndarray, width: int, at: np.ndarray) -> np.ndarray:
-    """table[at] from a _signed_table of rows width long; CoefficientRangeError on a NaN."""
-    values = table[at]
-    if np.isnan(values).any():
-        row, col = divmod(int(at.flat[np.argmax(np.isnan(values))]), width)
-        wave = abs(row - len(table) // width // 2), abs(col - width // 2)
-        raise CoefficientRangeError(f"coefficient {wave} outside stored range {fld.coeffs.shape}")
-    return values
+    return np.where(on, fld.coeffs[px // step][:, qy // 2], 0.0).ravel()
 
 
 def sample_potential(p: SurfaceParams, nx: int, ny: int, pmax: int, qmax: int) -> PotentialField:
@@ -173,24 +170,15 @@ def _reach(basis: Basis) -> tuple[int, int]:
 
 
 def potential_field(p: SurfaceParams, basis: Basis, cfg: AssemblyConfig) -> PotentialField:
-    """V on the configured grid, with a table covering every product of the functions.
-
-    A product reaches the sum of two wave pairs; the wave (2n P, 2 Q) is
-    the cell frequency (P, Q).
-    """
-    reach_x, reach_y = _reach(basis)
-    return cached_sample_potential(p, cfg.nx, cfg.ny, cfg.cache_dir, reach_x // (2 * p.n), reach_y // 2)
+    """V on the configured grid, with a table covering every product of the functions (a sum of two waves)."""
+    pdim, qdim = _table_shape(*_reach(basis), p.n)
+    return cached_sample_potential(p, cfg.nx, cfg.ny, cfg.cache_dir, pdim - 1, qdim - 1)
 
 
-def _sectors(basis: Basis, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each function's sector key, the positions sorted by it (stably) and the sector sizes.
-
-    A sector is a class of (wave_x mod 2n, wave_y mod 2) up to sign, split by phase.
-    """
+def _sectors(basis: Basis, n: int) -> np.ndarray:
+    """Each function's sector key: its class of (wave_x mod 2n, wave_y mod 2) up to sign, split by phase."""
     step = 2 * n
-    key = (np.minimum(basis.wave_x % step, -basis.wave_x % step) * 2 + basis.wave_y % 2) * 2 + basis.sine
-    sizes = np.bincount(key)
-    return key, np.argsort(key, kind="stable"), sizes[sizes > 0]
+    return (np.minimum(basis.wave_x % step, -basis.wave_x % step) * 2 + basis.wave_y % 2) * 2 + basis.sine
 
 
 def mirror_partners(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
@@ -208,13 +196,15 @@ def mirror_partners(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     return partner, np.where((a == 0) & sine, -1.0, 1.0)
 
 
-def _pair_chunks(cols: np.ndarray, first: np.ndarray, width: np.ndarray):
-    """(i, j) per row i = cols[r] against cols[first[r]:first[r] + width[r]], row after row, in chunks of whole rows.
+def _pair_chunks(cols: np.ndarray, key: np.ndarray):
+    """(i, j) per row i = cols[r] against cols[r:] within its key, row after row, in chunks of whole rows.
 
-    A chunk holds at most _CHUNK_PAIRS pairs, or one row.
+    cols is sorted by key[cols].  A chunk holds at most _CHUNK_PAIRS pairs, or one row.
     """
+    key = key[cols]
+    width = np.searchsorted(key, key, side="right") - np.arange(len(cols))
     ends = np.cumsum(width)
-    shift = first - ends + width
+    shift = np.arange(len(cols)) - ends + width
     a = begin = 0
     while a < len(cols):
         b = max(a + 1, int(np.searchsorted(ends, begin + _CHUNK_PAIRS, side="right")))
@@ -232,7 +222,8 @@ def gather_pairs(fld: PotentialField, basis: Basis, chunks):
     - C[w_i + w_j]) for sines and with + for cosines.  Every pair reads one
     _signed_table, built once for all chunks, at the wave codes code_i -+
     code_j with code = wave_x W + wave_y; (i, j) and (j, i) take the same
-    operations, so the result is bit-symmetric.
+    operations, so the result is bit-symmetric.  The table is built, and its
+    coverage checked, before the first chunk is drawn.
     """
     reach_x, reach_y = _reach(basis)
     table, width = _signed_table(fld, reach_x, reach_y), 2 * reach_y + 1
@@ -240,7 +231,7 @@ def gather_pairs(fld: PotentialField, basis: Basis, chunks):
     shifted = code + (reach_x * width + reach_y)
     for i, j in chunks:
         at, other = shifted[i], code[j]
-        diff, total = _read(fld, table, width, at - other), _read(fld, table, width, at + other)
+        diff, total = table[at - other], table[at + other]
         np.negative(total, out=total, where=basis.sine[i])
         a = basis.norm[i] * basis.norm[j] * fld.area * (-0.5 * (diff + total))
         diagonal = np.flatnonzero(i == j)
@@ -251,21 +242,20 @@ def gather_pairs(fld: PotentialField, basis: Basis, chunks):
 def stability_matrix(fld: PotentialField, basis: Basis) -> np.ndarray:
     """alpha_i delta_ij - b_ij on the span of the basis (distinct functions), symmetric bit for bit.
 
-    One gather within sectors; between sectors -0.0 in a phase, +0.0 across.
+    Each pair i <= j within a sector gathered once and mirrored; between sectors -0.0 in a phase, +0.0 across.
     """
-    _, order, sizes = _sectors(basis, fld.surface.n)
+    key = _sectors(basis, fld.surface.n)
     out = np.where(basis.sine[:, None] == basis.sine, -0.0, 0.0)
-    chunks = _pair_chunks(order, np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes))
-    for i, j, a in gather_pairs(fld, basis, chunks):
-        out[i, j] = a
+    for i, j, a in gather_pairs(fld, basis, _pair_chunks(np.argsort(key, kind="stable"), key)):
+        out[i, j] = out[j, i] = a
     return out
 
 
-# The representatives, sector after sector, each gathered against the width representatives of its sector from its
-# own on; each function's mirror (itself in an open sector) and 1.0 for a pair member (0.0 self); per parity (even,
-# odd) and function, where its row starts in the halves and its column within its half, -1 off the half; the sector
-# sizes; the half sizes, ascending, and their labels.
-_Fold = namedtuple("_Fold", "cols width mirror pair row_at col_at sizes half_sizes labels")
+# Each function's sector key; the representatives, sector after sector, each gathered against those of its sector
+# from its own on; each function's mirror (itself in an open sector) and 1.0 for a pair member (0.0 self); per parity
+# (even, odd) and function, where its row starts in the halves and its column within its half, -1 off the half; the
+# half sizes, ascending, and their labels.
+_Fold = namedtuple("_Fold", "key cols mirror pair row_at col_at half_sizes labels")
 
 # A half's class c = min(+-wave_x mod 2n), wave_y mod 2, phase ("cos", "sin", or "both": a complex class's cosine
 # half standing for its sine twin too) and mirror parity ("even", "odd", or "whole": a sector left open).
@@ -283,7 +273,7 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     the cosine sector's halves, labelled "both", count twice.  No array has
     more entries than twice the basis.
     """
-    key, _, sizes = _sectors(basis, n)
+    key = _sectors(basis, n)
     partner, mirror_sign = mirror_partners(basis)
     here = np.arange(len(basis))
     opened = np.bincount(key[partner < 0], minlength=key.max() + 1) > 0
@@ -294,7 +284,6 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     twin = (cls % 2 == 1) & (cls // 4 % n != 0) & (per_key == np.roll(per_key, 1))
     pair, row = mirror != here, (mirror >= here) & ~twin[key]
     cols = np.flatnonzero(row)[np.argsort(key[row], kind="stable")]
-    width = np.searchsorted(key[cols], key[cols], side="right") - np.arange(len(cols))
     even = np.flatnonzero(row & (pair | (mirror_sign > 0) | ~closed))
     odd = np.flatnonzero(row & closed & (pair | (mirror_sign < 0)))
     members = np.concatenate([even, odd])
@@ -311,7 +300,7 @@ def _fold_plan(basis: Basis, n: int) -> _Fold:
     labels["c"], labels["y_parity"] = hkey // 4, hkey // 2 % 2
     labels["phase"] = np.where(twin[hkey + 1], "both", np.where(hkey % 2, "sin", "cos"))
     labels["mirror"] = np.where(opened[hkey], "whole", np.where(halves % 2, "odd", "even"))
-    return _Fold(cols, width, mirror, pair.astype(float), row_at, col_at, sizes, half_sizes, labels)
+    return _Fold(key, cols, mirror, pair.astype(float), row_at, col_at, half_sizes, labels)
 
 
 def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[np.ndarray, ...], tuple]:
@@ -326,7 +315,7 @@ def _half_stacks(fld: PotentialField, basis: Basis, plan: _Fold) -> tuple[tuple[
     array, a member's row at row_at.
     """
     out = np.empty(int(plan.half_sizes @ plan.half_sizes))
-    chunks = _pair_chunks(plan.cols, np.arange(len(plan.cols)), plan.width)
+    chunks = _pair_chunks(plan.cols, plan.key)
     # each chunk's X, then its Y
     gathered = gather_pairs(fld, basis, ((i, js) for i, j in chunks for js in (j, plan.mirror[j])))
     for (i, j, x), (_, _, y) in zip(gathered, gathered):
@@ -392,8 +381,8 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
     basis = enumerate_basis(lattice(p), m)
     plan, (reach_x, reach_y) = _fold_plan(basis, p.n), _reach(basis)
     more = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1) + _FUNCTION_BYTES * m
-    entries = int(plan.half_sizes @ plan.half_sizes)
-    _refuse_beyond_memory(m, entries, f"{len(plan.sizes)} symmetry blocks", max(plan.sizes), more)
+    entries, sizes = int(plan.half_sizes @ plan.half_sizes), np.bincount(plan.key)
+    _refuse_beyond_memory(m, entries, f"{np.count_nonzero(sizes)} symmetry blocks", sizes.max(), more)
     fld = potential_field(p, basis, cfg or AssemblyConfig())
     stacks, labels = _half_stacks(fld, basis, plan)
     return GalerkinMatrix(m=m, stacks=stacks, labels=labels, basis=basis, fld=fld)

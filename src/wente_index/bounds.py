@@ -13,7 +13,7 @@ Three independent routes bound the Morse index of W_{l/n}:
 
 The Galerkin route (assembly + spectrum) sharpens these: the number k of
 negative eigenvalues of A_m grows monotonically toward the true count, and
-the volume constraint leaves the index as k-1 or k.
+the volume constraint leaves the index as k-1 (at least 0) or k.
 
 SUBSPACE_SETS records, for each catalogued surface that has one, a basis
 selection whose restricted operator is negative definite at H = 1/2; these
@@ -241,7 +241,7 @@ def full_report(
         sandwich_upper=sandwich.upper,
         subspace_lower=subspace_lower,
         galerkin_k=k,
-        index_estimate=(k - 1, k),
+        index_estimate=(max(k - 1, 0), k),
         m_used=m,
         negative_range=est.negative_range,
         first_positive_six=(six[0], six[-1]) if six else (float("nan"), float("nan")),

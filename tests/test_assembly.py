@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -35,6 +36,21 @@ def _entry(fld, basis, i, j):
     if i == j:
         return float(basis.alpha[i] - stability_matrix(fld, basis[[i]])[0, 0])
     return float(-stability_matrix(fld, basis[[i, j]])[0, 1])
+
+
+def _drawn_chunks(monkeypatch):
+    """Every chunk of pairs a gather draws from _pair_chunks from now on."""
+    import wente_index.assembly as assembly_mod
+
+    drawn, chunks = [], assembly_mod._pair_chunks
+
+    def recording(*args):
+        for chunk in chunks(*args):
+            drawn.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(assembly_mod, "_pair_chunks", recording)
+    return drawn
 
 
 def _loop_assemble(fld, basis):
@@ -142,12 +158,17 @@ class TestSampling:
             cells_x = 2 * p.n if p.ell % 2 == 1 else p.n
             assert fld.area == pytest.approx(cells_x * 0.5 * p.x_period * p.y_period, rel=1e-15)
 
-    def test_coefficient_range_error(self, w32):
+    def test_coefficient_range_error(self, w32, monkeypatch):
         fld = sample_potential(w32, 128, 128, pmax=0, qmax=2)
         basis = enumerate_basis(lattice(w32), 13)
+        drawn = _drawn_chunks(monkeypatch)
         stability_matrix(fld, basis[4:5])  # wave (0, 1): its sums stay within the table
-        with pytest.raises(CoefficientRangeError):
-            stability_matrix(fld, basis[5:6])  # wave (2, 0): sum (4, 0) is cell frequency (1, 0)
+        assert len(drawn) == 1
+        drawn.clear()
+        # wave (2, 0): sum (4, 0) is cell frequency (1, 0), refused before any pair is gathered
+        with pytest.raises(CoefficientRangeError, match=r"need a coefficient table of shape \(2, 1\), stored \(1, 3\)"):
+            stability_matrix(fld, basis[5:6])
+        assert drawn == []
 
 
 class TestEntries:
@@ -350,15 +371,20 @@ class TestAssemble:
         with pytest.raises(ParameterError, match="m = 1000000000 needs about"):
             assemble(w32, 10**9)
 
-    def test_potential_field_covers_assembly(self, w32, w43):
+    def test_potential_field_covers_assembly(self, w32, w43, monkeypatch):
         # the field sampled for a basis has exactly the extent its products reach
+        drawn = _drawn_chunks(monkeypatch)
         for p, m in ((w32, 41), (w43, 49)):
             basis = enumerate_basis(lattice(p), m)
             fld = potential_field(p, basis, AssemblyConfig(nx=256, ny=256))
             stability_matrix(fld, basis)
             widest = np.argmax(np.abs(basis.wave_y), keepdims=True)
-            with pytest.raises(CoefficientRangeError):
+            pdim, qdim = fld.coeffs.shape
+            need = (2 * abs(int(basis.wave_x[widest[0]])) // (2 * p.n) + 1, qdim)
+            drawn.clear()
+            with pytest.raises(CoefficientRangeError, match=re.escape(f"shape {need}, stored {(pdim, qdim - 1)}")):
                 stability_matrix(dataclasses.replace(fld, coeffs=fld.coeffs[:, :-1]), basis[widest])
+            assert drawn == []
 
 
 class TestCache:

@@ -256,6 +256,10 @@ class TestFullReport:
         assert wide.galerkin_k + wide.uncertain_count >= default.galerkin_k
         assert wide.negative_range[1] < -1.0
 
+    def test_index_estimate_is_never_negative(self):
+        # a zero band wider than the spectrum counts k = 0 negatives; the index is at least 0
+        assert full_report(catalog_surface(3, 2), zero_tol=1e300).index_estimate == (0, 0)
+
     @pytest.mark.parametrize("m,tail", [(13, 5), (1, 0)])
     def test_short_spectrum_is_noted(self, w32, m, tail):
         # A_13 of 3/2 has 8 negative eigenvalues and 5 above them; A_1 has

@@ -1,5 +1,8 @@
 """Every exported name resolves, so a deleted helper cannot linger in an __all__.
 
+Every module-level name is read somewhere in the package or exported, so a
+dead helper cannot linger either.
+
 Every module imports only the standard library, numpy and the package itself.
 """
 
@@ -28,6 +31,29 @@ def test_module_exports_resolve_and_star_import_works(module):
     namespace = {}
     exec(f"from wente_index.{module} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_every_module_level_name_is_loaded_or_exported():
+    # a function, class or assigned name that no code in the package reads and no __all__ lists is dead
+    defined, loaded, exported = set(), set(), set()
+    for path in sorted(Path(wente_index.__path__[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = {t.id for t in ast.walk(node) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)}
+                defined |= names
+                if "__all__" in names:
+                    exported |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                loaded |= {alias.name.rpartition(".")[2] for alias in node.names}
+    assert sorted(defined - loaded - exported - {"__all__"}) == []
 
 
 @pytest.mark.parametrize("module", MODULES)

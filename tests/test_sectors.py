@@ -441,6 +441,34 @@ def test_each_row_gathers_its_sector_from_its_own_column_on(monkeypatch, ell, n,
     assert pairs is None or sum(want.values()) == pairs
 
 
+@pytest.mark.filterwarnings("ignore:basis size")
+@pytest.mark.parametrize(
+    "ell,n,m,pairs", [(3, 2, 2113, 210473), (4, 3, 52, None), (7, 6, 52, None)], ids=["3/2@2113", "4/3@52", "7/6@52"]
+)
+def test_dense_view_gathers_each_in_sector_pair_once(monkeypatch, ell, n, m, pairs):
+    # stability_matrix reads each unordered pair i <= j within a sector once
+    # and mirrors it; nothing between sectors is gathered
+    p = catalog_surface(ell, n)
+    basis = enumerate_basis(lattice(p), m)
+    fld = potential_field(p, basis, AssemblyConfig())
+    want = []
+    for pos in sector_positions(basis, n):  # ascending within a sector
+        row, col = np.triu_indices(len(pos))
+        want.append(pos[row] * m + pos[col])
+    want, gathered = np.sort(np.concatenate(want)), []
+    kernel = assembly_mod.gather_pairs
+
+    def recording(fld, basis, chunks):
+        for i, j, a in kernel(fld, basis, chunks):
+            gathered.append(np.minimum(i, j) * m + np.maximum(i, j))
+            yield i, j, a
+
+    monkeypatch.setattr(assembly_mod, "gather_pairs", recording)
+    stability_matrix(fld, basis)
+    assert np.array_equal(np.sort(np.concatenate(gathered)), want)
+    assert pairs is None or len(want) == pairs
+
+
 def _small_memory(monkeypatch, nbytes):
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: nbytes)
     monkeypatch.setattr(basis_mod, "_physical_memory", lambda: nbytes)
