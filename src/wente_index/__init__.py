@@ -21,8 +21,8 @@ from .surface import (
 )
 from .basis import (
     Basis,
+    cutoff_basis,
     enumerate_basis,
-    sorted_alpha_stream,
 )
 from .assembly import (
     AssemblyConfig,
@@ -60,7 +60,7 @@ __all__ = [
     "potential_extrema",
     "Basis",
     "enumerate_basis",
-    "sorted_alpha_stream",
+    "cutoff_basis",
     "AssemblyConfig",
     "GalerkinMatrix",
     "PotentialField",

@@ -28,14 +28,14 @@ characters in a real operator): the sine sector gathers nothing and the
 cosine halves count twice.  An even m ends on a sine without its cosine,
 and that sector is solved on its own.
 
-assemble(p, m, cfg), the only builder of A_m, enumerates the basis, samples
-V over it (or reads the cache) and returns the labelled halves.  The one
-dense view, stability_matrix on a field and any basis[pos] (published
-index i is position i - 1; GalerkinMatrix.entries is it on the whole
-basis), gathers each pair i <= j within a sector once through the same
-kernel, gather_pairs, and mirrors it, so its bits do not depend on the fold
-or the twins.  Every gather checks once, before its first pair, that the
-stored table covers the lattice waves its products reach.
+assemble(p, basis, cfg) samples V over any basis (or reads the cache) and
+returns its labelled halves: shell_basis(p, m), refused first if too large,
+or cutoff_basis.  The one dense view, stability_matrix on a field and any
+basis[pos] (GalerkinMatrix.entries on the whole basis), gathers each pair
+i <= j within a sector once through the same kernel, gather_pairs, and
+mirrors it, so its bits do not depend on the fold or the twins.  Every
+gather checks once, before its first pair, that the stored table covers
+the lattice waves its products reach.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "mirror_partners",
     "gather_pairs",
     "stability_matrix",
+    "shell_basis",
     "assemble",
     "write_field_cache",
     "read_field_cache",
@@ -363,14 +364,8 @@ def _refuse_beyond_memory(m: int, entries: float, blocks: str, largest, more: in
         )
 
 
-def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> GalerkinMatrix:
-    """Assemble the m x m truncation of -Laplacian - V as its reflection halves.
-
-    V is sampled over the basis, or read from the cache.  An m whose
-    halves would not fit in physical memory raises ParameterError before V
-    is sampled or any entry gathered; one that cannot fit whatever the
-    sectors raises it before the basis is enumerated.
-    """
+def shell_basis(p: SurfaceParams, m: int) -> Basis:
+    """enumerate_basis(lattice(p), m); ParameterError first, if its halves cannot fit in memory whatever the sectors."""
     # wave_x classes 0..n up to sign, two wave_y parities and two phases make
     # at most 4(n + 1) sectors, so m functions form at least m^2 / (4(n + 1))
     # in-sector pairs; gathered sectors hold at least half (a skipped twin is
@@ -378,7 +373,17 @@ def assemble(p: SurfaceParams, m: int, cfg: AssemblyConfig | None = None) -> Gal
     # at least s^2 / 2 entries: e^2 + o^2 with e + o = s
     most = 4 * (p.n + 1)
     _refuse_beyond_memory(m, m * m / (4 * most), f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
-    basis = enumerate_basis(lattice(p), m)
+    return enumerate_basis(lattice(p), m)
+
+
+def assemble(p: SurfaceParams, basis: Basis, cfg: AssemblyConfig | None = None) -> GalerkinMatrix:
+    """Assemble -Laplacian - V on the span of the basis as its reflection halves.
+
+    V is sampled over the basis, or read from the cache.  A basis whose
+    halves would not fit in physical memory raises ParameterError before V
+    is sampled or any entry gathered.
+    """
+    m = len(basis)
     plan, (reach_x, reach_y) = _fold_plan(basis, p.n), _reach(basis)
     more = _TABLE_BYTES * (2 * reach_x + 1) * (2 * reach_y + 1) + _FUNCTION_BYTES * m
     entries, sizes = int(plan.half_sizes @ plan.half_sizes), np.bincount(plan.key)

@@ -1,4 +1,4 @@
-"""Laplacian eigenfunctions on the flat torus, in a fixed enumeration order.
+"""Laplacian eigenfunctions on the flat torus, in shell order or cut at an eigenvalue.
 
 A mode is an integer wave pair (a, b) against the rectangle width =
 n x_period, height = y_period of the lattice: the functions sin and cos of
@@ -22,9 +22,11 @@ even parity; it cannot change any eigenvalue, only the sign of a basis
 vector.  Mirror partners (a, b) and (a, -b) share their eigenvalue bit for
 bit.
 
-A basis of size m is one Basis of parallel arrays in that order: position
-i holds the function with published (1-based) basis index i + 1, and
-basis[pos] selects the sub-basis at an index array or slice of positions.
+A Basis is parallel arrays, and basis[pos] the sub-basis at an index array
+or slice of positions.  One constructor builds both orders from a wave list:
+enumerate_basis the first m functions of the shells (position i holds basis
+index i + 1), cutoff_basis those with alpha < limit by ascending alpha.
+Either span is a trial space for min-max (Reed & Simon IV, XIII.1).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .surface import Lattice, ParameterError
 __all__ = [
     "Basis",
     "enumerate_basis",
-    "sorted_alpha_stream",
+    "cutoff_basis",
     "count_alpha_below",
     "shell_complete_size",
     "shells_holding",
@@ -50,9 +52,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-# Peak bytes per point of the wave box in sorted_alpha_stream (the eigenvalue grid, its masks, the kept
-# eigenvalues): tracemalloc reads 19.8 odd and 12.2 even on 0.5 to 2.6 million points; the rest is headroom.
-_BOX_BYTES = 25
+# Peak bytes per point of the wave box in cutoff_basis (the eigenvalue grid, its masks, the kept waves and the
+# Basis built from them): tracemalloc reads 129.4 odd and 69.2 even on 0.9 to 2.7 million points; the rest is headroom.
+_BOX_BYTES = 160
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,6 +129,14 @@ def _eigenvalues(lat: Lattice, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fx * fx + fy * fy
 
 
+def _from_waves(lat: Lattice, a: np.ndarray, b: np.ndarray) -> Basis:
+    """The constant's cosine, then each wave's sine and cosine: waves (a, b), the constant (0, 0) first."""
+    # the constant carries the cosine only, every other mode k the sine at position 2k - 1 and the cosine at 2k
+    mode = np.arange(1, 2 * len(a)) // 2
+    norm = np.where(mode > 0, math.sqrt(2.0 / lat.cell_area), math.sqrt(1.0 / lat.cell_area))
+    return Basis(a[mode], b[mode], np.arange(len(mode)) % 2 == 1, norm, _eigenvalues(lat, a, b)[mode])
+
+
 def enumerate_basis(lat: Lattice, m: int) -> Basis:
     """First m eigenfunctions in enumeration order.
 
@@ -138,28 +148,25 @@ def enumerate_basis(lat: Lattice, m: int) -> Basis:
         raise ValueError("m must be at least 1")
     if not is_shell_complete(lat.parity, m):
         warnings.warn(f"basis size {m} does not complete a shell ({lat.parity} parity)", stacklevel=2)
-    # the constant carries the cosine only, every other mode k the sine at
-    # position 2k - 1 and the cosine at 2k
-    mode = (np.arange(m) + 1) // 2
-    a, b = (w[mode] for w in _waves(lat.parity, shells_holding(lat.parity, m)))
-    area = lat.cell_area
-    norm = np.full(m, math.sqrt(2.0 / area))
-    norm[0] = math.sqrt(1.0 / area)
-    return Basis(wave_x=a, wave_y=b, sine=np.arange(m) % 2 == 1, norm=norm, alpha=_eigenvalues(lat, a, b))
+    return _from_waves(lat, *_waves(lat.parity, shells_holding(lat.parity, m)))[:m]
 
 
-def sorted_alpha_stream(lat: Lattice, limit: float) -> np.ndarray:
-    """Every Laplacian eigenvalue < limit, one entry per eigenfunction, ascending.
+def _in_shell_order(lat: Lattice, basis: Basis) -> bool:
+    """Whether position i holds published basis index i + 1: the functions of enumerate_basis(lat, len(basis))."""
+    shell = _from_waves(lat, *_waves(lat.parity, shells_holding(lat.parity, len(basis))))[: len(basis)]
+    return all(np.array_equal(getattr(basis, k), getattr(shell, k)) for k in ("wave_x", "wave_y", "sine"))
+
+
+def cutoff_basis(lat: Lattice, limit: float) -> Basis:
+    """Every eigenfunction with alpha < limit, by ascending alpha, ties in the order of the mode box.
 
     alpha < limit bounds |a| by width sqrt(limit) / 2 pi and |b| by height
     sqrt(limit) / 2 pi; the box reaches one wave past both, with the shells'
-    half-plane rule.  Comparison with the limit is strict.  A box beyond
-    physical memory, or of no finite size, raises ParameterError before
-    anything is allocated.
+    half-plane rule.  Comparison with the limit is strict, so a limit <= 0
+    gives an empty basis.  A box beyond physical memory, or of no finite
+    size, raises ParameterError before anything is allocated.
     """
-    if limit <= 0.0:
-        return np.empty(0)
-    reach = math.sqrt(limit) / TWO_PI
+    reach = math.sqrt(max(limit, 0.0)) / TWO_PI
     box_a, box_b = lat.width * reach, lat.height * reach
     need, have = _BOX_BYTES * (box_a + 2.0) * (2.0 * box_b + 3.0), _physical_memory()
     if not need <= have:
@@ -170,15 +177,13 @@ def sorted_alpha_stream(lat: Lattice, limit: float) -> np.ndarray:
     a, b = np.arange(int(box_a) + 2), np.arange(-int(box_b) - 1, int(box_b) + 2)
     alpha = _eigenvalues(lat, a[:, None], b)
     keep = alpha < limit
-    keep[0, b <= 0] = False
+    keep[0, b < 0] = False
     if lat.parity == "even":
         keep &= np.equal.outer(a % 2, b % 2)
-    alpha = alpha[keep]
-    alpha.sort()
-    # sine and cosine share each mode; the constant appears once.
-    stream = np.zeros(2 * len(alpha) + 1)
-    stream[1::2] = stream[2::2] = alpha
-    return stream
+    # the constant (0, 0), the one alpha of 0, sorts first
+    at, bt = np.nonzero(keep)
+    order = np.argsort(alpha[keep], kind="stable")
+    return _from_waves(lat, a[at[order]], b[bt[order]])
 
 
 def count_alpha_below(
@@ -186,11 +191,11 @@ def count_alpha_below(
 ) -> list[tuple[int, int]]:
     """Per limit: (#eigenvalues strictly below it, #eigenvalues within boundary_tol of it).
 
-    One stream up to the largest limit (plus the band) holds every count.
+    One cutoff basis up to the largest limit (plus the band) holds every count.
     The second count flags comparisons too close to call at floating point
     accuracy; callers surface it instead of silently resolving the tie.
     """
-    stream = sorted_alpha_stream(lat, max(limits) + 2.0 * boundary_tol + 1e-300)
+    alpha = cutoff_basis(lat, max(limits) + 2.0 * boundary_tol + 1e-300).alpha
     return [
-        (int(np.sum(stream < v)), int(np.sum(np.abs(stream - v) <= boundary_tol))) for v in limits
+        (int(np.sum(alpha < v)), int(np.sum(np.abs(alpha - v) <= boundary_tol))) for v in limits
     ]

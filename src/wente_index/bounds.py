@@ -28,9 +28,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import AssemblyConfig, GalerkinMatrix, assemble, stability_matrix
+from .assembly import AssemblyConfig, GalerkinMatrix, assemble, shell_basis, stability_matrix
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
-from .basis import count_alpha_below, shell_complete_size, shells_holding
+from .basis import _in_shell_order, count_alpha_below, shell_complete_size, shells_holding
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
 from .reference import REFERENCE_ESTIMATES
 from .spectrum import eigen_symmetric
@@ -111,13 +111,14 @@ def subspace_bound(
 ) -> SubspaceVerdict:
     """Check negative definiteness of the restricted form on the given span.
 
-    The restriction to the 1-based basis indices is the stability matrix on
-    those functions over the field of form when form holds them, otherwise
-    of A_M assembled at the smallest shell-complete M >= max(indices): bit
-    for bit a principal submatrix of A_M.  It counts as negative definite
-    only when its top eigenvalue lies below -residual_bound, the solver's
-    error bound.  A negative definite N-dimensional restriction implies
-    Ind >= N - 1 (one dimension can be lost to the volume constraint).
+    The restriction to the 1-based basis indices (shell positions) is the
+    stability matrix on those functions over the field of form when form is
+    in shell order and holds them, otherwise of A_M assembled at the
+    smallest shell-complete M >= max(indices): bit for bit a principal
+    submatrix of A_M.  It counts as negative definite only when its top
+    eigenvalue lies below -residual_bound, the solver's error bound.  A
+    negative definite N-dimensional restriction implies Ind >= N - 1 (one
+    dimension can be lost to the volume constraint).
     """
     indices = tuple(int(i) for i in indices)
     if not indices:
@@ -126,8 +127,8 @@ def subspace_bound(
         raise ParameterError("basis indices must be distinct")
     if min(indices) < 1:
         raise ParameterError("basis indices are 1-based")
-    if form is None or form.m < max(indices):
-        form = assemble(p, default_m(p, max(indices)), cfg)
+    if form is None or form.m < max(indices) or not _in_shell_order(lattice(p), form.basis):
+        form = assemble(p, shell_basis(p, default_m(p, max(indices))), cfg)
     mat = stability_matrix(form.fld, form.basis[np.array(indices) - 1])
     est = eigen_symmetric(mat)
     top = float(est.eigenvalues[-1])
@@ -205,7 +206,7 @@ def full_report(
     subspace_indices = SUBSPACE_SETS.get(p.label)
     # One matrix serves the Galerkin count and, when the selection lies
     # within the first m functions, the subspace check.
-    matrix = assemble(p, m, cfg)
+    matrix = assemble(p, shell_basis(p, m), cfg)
     subspace_lower: int | None = None
     if subspace_indices is not None:
         verdict = subspace_bound(p, subspace_indices, cfg, form=matrix)
@@ -218,9 +219,7 @@ def full_report(
     k, uncertain = est.negative_count, est.uncertain_count
     if uncertain:
         notes.append(f"{uncertain} eigenvalue(s) within zero tolerance {est.zero_tol:g}; count is ambiguous")
-    best_lower = max(
-        [courant, sandwich.lower] + ([subspace_lower] if subspace_lower is not None else [])
-    )
+    best_lower = max(bound for bound in (courant, sandwich.lower, subspace_lower) if bound is not None)
     if best_lower > k:
         # k grows monotonically with m, so an analytic bound above it only
         # means the truncation is not yet converged.
@@ -255,10 +254,7 @@ def full_report(
 
 
 def _check_consistency(r: IndexReport) -> None:
-    lowers = [r.courant_lower, r.sandwich_lower]
-    if r.subspace_lower is not None:
-        lowers.append(r.subspace_lower)
-    best_lower = max(lowers)
+    best_lower = max(bound for bound in (r.courant_lower, r.sandwich_lower, r.subspace_lower) if bound is not None)
     if best_lower > r.sandwich_upper:
         raise ConsistencyError(
             f"{r.surface}: lower bound {best_lower} exceeds upper bound {r.sandwich_upper}"

@@ -61,10 +61,8 @@ class SpectrumEstimate:
 
     @property
     def negative_range(self) -> tuple[float, float]:
-        if self.negative_count == 0:
-            return (0.0, 0.0)
         neg = self.eigenvalues[: self.negative_count]
-        return (float(neg[0]), float(neg[-1]))
+        return (float(neg[0]), float(neg[-1])) if len(neg) else (math.nan, math.nan)
 
 
 # One stack's (count, k) eigenvalues, each half's ascending; the halves' GalerkinMatrix labels (None for an

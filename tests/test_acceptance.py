@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from wente_index.assembly import AssemblyConfig, assemble, potential_field, stability_matrix
+from wente_index.assembly import AssemblyConfig, assemble, potential_field, shell_basis, stability_matrix
 from wente_index.basis import enumerate_basis
 from wente_index.bounds import (
     SUBSPACE_SETS,
@@ -180,7 +180,7 @@ def test_criterion_6_monotone_truncation():
     p = catalog_surface(3, 2)
     previous = None
     for m in (13, 41, 85, 181):
-        values = eigen_symmetric(assemble(p, m)).eigenvalues
+        values = eigen_symmetric(assemble(p, shell_basis(p, m))).eigenvalues
         if previous is not None:
             rise = float(np.max(values[:13] - previous[:13]))
             if rise > 1e-9:
@@ -263,14 +263,16 @@ def test_criterion_8_property_suite(reference_reports):
     # eigenvalue error bound
     for label in ("3/2", "4/3"):
         report, _ = reference_reports[label]
-        est = eigen_symmetric(assemble(catalog_surface(*map(int, label.split("/"))), 41 if label == "3/2" else 49))
+        p = catalog_surface(*map(int, label.split("/")))
+        est = eigen_symmetric(assemble(p, shell_basis(p, 41 if label == "3/2" else 49)))
         if est.residual_bound > 1e-10 * est.norm:
             failures.append(f"{label}: eigenvalue error bound {est.residual_bound:.3g}")
 
     # mean-curvature rescaling leaves counts alone
     for ell, n, m in ((3, 2, 41), (4, 3, 49)):
-        k_half = eigen_symmetric(assemble(build_surface(ell, n, 0.5), m)).negative_count
-        k_two = eigen_symmetric(assemble(build_surface(ell, n, 2.0), m)).negative_count
+        half, two = build_surface(ell, n, 0.5), build_surface(ell, n, 2.0)
+        k_half = eigen_symmetric(assemble(half, shell_basis(half, m))).negative_count
+        k_two = eigen_symmetric(assemble(two, shell_basis(two, m))).negative_count
         if k_half != k_two:
             failures.append(f"{ell}/{n}: negative count changed under H rescaling")
 

@@ -14,6 +14,7 @@ from wente_index.assembly import (
     assemble,
     potential_field,
     read_field_cache,
+    shell_basis,
     sample_potential,
     stability_matrix,
     write_field_cache,
@@ -244,22 +245,22 @@ class TestAssemble:
         basis = enumerate_basis(lattice(w32), 13)
         fld, _ = _constant_field(w32, 0.0)
         monkeypatch.setattr(assembly_mod, "potential_field", lambda *args: fld)
-        mat = assemble(w32, 13, AssemblyConfig(nx=128, ny=128))
+        mat = assemble(w32, shell_basis(w32, 13), AssemblyConfig(nx=128, ny=128))
         np.testing.assert_array_equal(mat.entries, np.diag(basis.alpha))
 
     def test_symmetric_bit_exact(self, w32, fast_cfg):
-        mat = assemble(w32, 41, fast_cfg).entries
+        mat = assemble(w32, shell_basis(w32, 41), fast_cfg).entries
         assert np.array_equal(mat, mat.T)
 
     def test_parity_zero_structure(self, w32, fast_cfg):
-        mat = assemble(w32, 41, fast_cfg).entries
+        mat = assemble(w32, shell_basis(w32, 41), fast_cfg).entries
         for i in range(41):
             for j in range(41):
                 if (i + j) % 2 == 1:
                     assert mat[i, j] == 0.0
 
     def test_published_diagonal_restriction_w32(self, w32, fast_cfg):
-        mat = assemble(w32, 25, fast_cfg).entries
+        mat = assemble(w32, shell_basis(w32, 25), fast_cfg).entries
         idx = [i - 1 for i in W32_CERTIFIED_INDICES if i <= 25]
         sub = mat[np.ix_(idx, idx)]
         off_diag = sub - np.diag(np.diag(sub))
@@ -268,15 +269,15 @@ class TestAssemble:
             assert got == pytest.approx(expected, abs=0.05)
 
     def test_grid_convergence(self, w32):
-        coarse = assemble(w32, 41, AssemblyConfig(nx=256, ny=256)).entries
-        fine = assemble(w32, 41, AssemblyConfig(nx=512, ny=512)).entries
+        coarse = assemble(w32, shell_basis(w32, 41), AssemblyConfig(nx=256, ny=256)).entries
+        fine = assemble(w32, shell_basis(w32, 41), AssemblyConfig(nx=512, ny=512)).entries
         assert np.max(np.abs(coarse - fine)) <= 1e-8
 
     @pytest.mark.parametrize("surface,m", [("w32", 41), ("w43", 49)])
     def test_matches_scalar_reference(self, surface, m, request):
         p = request.getfixturevalue(surface)
         basis = enumerate_basis(lattice(p), m)
-        matrix = assemble(p, m, AssemblyConfig(nx=256, ny=256))
+        matrix = assemble(p, shell_basis(p, m), AssemblyConfig(nx=256, ny=256))
         got = matrix.entries
         expected = _loop_assemble(matrix.fld, basis)
         assert np.array_equal(got, expected)
@@ -288,7 +289,7 @@ class TestAssemble:
         fld = potential_field(w43, basis, cfg)
         quad = np.array([[b_entry_quadrature(fld, basis, i, j) for j in range(25)] for i in range(25)])
         oracle = np.diag(basis.alpha) - quad
-        assembled = assemble(w43, 25, cfg).entries
+        assembled = assemble(w43, shell_basis(w43, 25), cfg).entries
         assert np.max(np.abs(assembled - oracle)) <= 1e-9
 
     @pytest.mark.parametrize("ell,n,theta,rtol", [(13, 7, None, 1e-13), (3, 2, 24.5, 1e-10)])
@@ -342,10 +343,10 @@ class TestAssemble:
         need = 8 * entries + _CHUNK_BYTES + table + _FUNCTION_BYTES * 1013
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match="m = 1013 needs about"):
-            assemble(w32, 1013)
+            assemble(w32, shell_basis(w32, 1013))
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need)
         with pytest.raises(AssertionError, match="sampled"):
-            assemble(w32, 1013)
+            assemble(w32, shell_basis(w32, 1013))
 
     def test_memory_guard_refuses_before_enumerating(self, w32, monkeypatch):
         import wente_index.assembly as assembly_mod
@@ -362,14 +363,14 @@ class TestAssemble:
         need = 8 * 1200**2 // 48 + assembly_mod._CHUNK_BYTES
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need - 1)
         with pytest.raises(ParameterError, match=r"m = 1200 needs about .*at most 12 symmetry blocks"):
-            assemble(w32, 1200)
+            shell_basis(w32, 1200)
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: need)
         with pytest.raises(AssertionError, match="enumerated"):
-            assemble(w32, 1200)
+            shell_basis(w32, 1200)
         # a size far beyond any machine is refused at once
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 8 * 2**30)
         with pytest.raises(ParameterError, match="m = 1000000000 needs about"):
-            assemble(w32, 10**9)
+            shell_basis(w32, 10**9)
 
     def test_potential_field_covers_assembly(self, w32, w43, monkeypatch):
         # the field sampled for a basis has exactly the extent its products reach

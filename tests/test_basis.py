@@ -8,11 +8,11 @@ import pytest
 import wente_index.basis as basis_mod
 from wente_index.basis import (
     count_alpha_below,
+    cutoff_basis,
     enumerate_basis,
     is_shell_complete,
     shell_complete_size,
     shells_holding,
-    sorted_alpha_stream,
 )
 from wente_index.surface import CATALOG, ParameterError, catalog_surface, lattice, potential_extrema
 
@@ -209,22 +209,25 @@ class TestShellSizes:
 
 
 class TestAlphaStream:
+    # the eigenvalues of cutoff_basis, one entry per eigenfunction
+
     def test_tiny_limit_gives_only_constant(self, w32):
-        stream = sorted_alpha_stream(lattice(w32), 1e-6)
-        assert list(stream) == [0.0]
+        basis = cutoff_basis(lattice(w32), 1e-6)
+        assert _triples(basis) == [(0, 0, "cos")] and list(basis.alpha) == [0.0]
 
     def test_nonpositive_limit_empty(self, w32):
-        assert len(sorted_alpha_stream(lattice(w32), 0.0)) == 0
+        assert len(cutoff_basis(lattice(w32), 0.0)) == 0
+        assert len(cutoff_basis(lattice(w32), -1.0)) == 0
 
     def test_ascending(self, w32):
-        stream = sorted_alpha_stream(lattice(w32), 50.0)
+        stream = cutoff_basis(lattice(w32), 50.0).alpha
         assert np.all(np.diff(stream) >= 0.0)
 
     def test_counts_at_potential_extrema_3_2(self, w32):
         v_min, v_max = potential_extrema(w32)
         lat = lattice(w32)
-        assert len(sorted_alpha_stream(lat, v_max)) == 213
-        assert len(sorted_alpha_stream(lat, v_min)) == 3
+        assert len(cutoff_basis(lat, v_max)) == 213
+        assert len(cutoff_basis(lat, v_min)) == 3
 
     def test_agrees_with_enumeration(self, w32, w43):
         # Truncate the stream below the largest alpha guaranteed covered by
@@ -237,13 +240,13 @@ class TestAlphaStream:
             radius = parity_shells - 1 if lat.parity == "odd" else 2 * (parity_shells - 1)
             extent = max(p.n * p.x_period, p.y_period)
             safe_limit = 4.0 * math.pi**2 * (radius + 1) ** 2 / (2.0 * extent**2)
-            stream = sorted_alpha_stream(lat, safe_limit)
+            stream = cutoff_basis(lat, safe_limit).alpha
             truncated = alphas[alphas < safe_limit]
             np.testing.assert_allclose(stream, truncated, rtol=1e-12)
 
     def test_count_below_flags_boundary(self, w32):
         lat = lattice(w32)
-        stream = sorted_alpha_stream(lat, 100.0)
+        stream = cutoff_basis(lat, 100.0).alpha
         level = float(stream[5])
         [(below, near)] = count_alpha_below(lat, [level], boundary_tol=1e-9)
         assert near >= 1
@@ -254,12 +257,12 @@ class TestAlphaStream:
 
         def counting(lat, limit):
             calls.append(limit)
-            return stream(lat, limit)
+            return build(lat, limit)
 
-        stream = basis_mod.sorted_alpha_stream
-        monkeypatch.setattr(basis_mod, "sorted_alpha_stream", counting)
+        build = basis_mod.cutoff_basis
+        monkeypatch.setattr(basis_mod, "cutoff_basis", counting)
         lat = lattice(w32)
-        full = stream(lat, 101.0)
+        full = build(lat, 101.0).alpha
         limits = (40.0, float(full[5]), 100.0)
         counts = count_alpha_below(lat, limits)
         assert len(calls) == 1 and calls[0] > 100.0
@@ -268,10 +271,10 @@ class TestAlphaStream:
 
     @pytest.mark.parametrize("limit", [1e3, float("inf"), float("nan")])
     def test_refuses_a_box_beyond_memory(self, w32, monkeypatch, limit):
-        # alpha < 1e3 on 3/2 needs a box of 1215 waves, about 30 kB by the guard's rule
+        # alpha < 1e3 on 3/2 needs a box of 1215 waves, about 190 kB by the guard's rule
         monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 1000)
         with pytest.raises(ParameterError, match="mode box"):
-            sorted_alpha_stream(lattice(w32), limit)
+            cutoff_basis(lattice(w32), limit)
 
     @pytest.mark.parametrize("ell,n", [row[:2] for row in CATALOG], ids=[f"{ell}/{n}" for ell, n, _ in CATALOG])
     def test_wave_box_matches_the_mode_box(self, ell, n):
@@ -281,30 +284,52 @@ class TestAlphaStream:
         p = catalog_surface(ell, n)
         lat = lattice(p)
         for limit in potential_extrema(p):
-            assert len(sorted_alpha_stream(lat, limit)) == len(mode_box_stream(lat, limit))
+            assert len(cutoff_basis(lat, limit)) == len(mode_box_stream(lat, limit))
         limit = potential_extrema(p)[1] + 1.0
-        stream, reference = sorted_alpha_stream(lat, limit), mode_box_stream(lat, limit)
+        stream, reference = cutoff_basis(lat, limit).alpha, mode_box_stream(lat, limit)
         np.testing.assert_allclose(stream, reference, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("ell,n,limit", [(7, 6, 1e5), (21, 20, 3e4), (10, 7, 3e5), (6, 5, 1e5)])
     def test_guard_charges_no_less_than_the_measured_peak(self, monkeypatch, ell, n, limit):
-        # boxes of 0.9 to 2.6 million waves, odd and even lattices: the guard
+        # boxes of 0.9 to 2.7 million waves, odd and even lattices: the guard
         # refuses any memory below the tracemalloc peak of the enumeration
         lat = lattice(catalog_surface(ell, n))
         tracemalloc.start()
         try:
-            stream = sorted_alpha_stream(lat, limit)
+            basis = cutoff_basis(lat, limit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         monkeypatch.setattr(basis_mod, "_physical_memory", lambda: peak - 1)
         with pytest.raises(ParameterError, match="mode box"):
-            sorted_alpha_stream(lat, limit)
+            cutoff_basis(lat, limit)
         monkeypatch.setattr(basis_mod, "_physical_memory", lambda: 3 * peak)
-        assert np.array_equal(sorted_alpha_stream(lat, limit), stream)
+        again = cutoff_basis(lat, limit)
+        assert all(np.array_equal(getattr(again, k), getattr(basis, k)) for k in ("wave_x", "wave_y", "sine", "alpha"))
+
+    @pytest.mark.parametrize("ell,n,shells", [(3, 2, 25), (4, 3, 13), (5, 3, 25), (7, 6, 25), (6, 5, 13)])
+    def test_cutoff_holds_the_shell_functions_below_the_limit(self, ell, n, shells):
+        # when the shells cover the limit, the cutoff basis holds exactly the
+        # shell functions with alpha < limit, with the same alpha bits: a mode
+        # past the last shell has |a| + |b| >= R, the next radius, so alpha >=
+        # 4 pi^2 R^2 / (width^2 + height^2), the least of a^2 / width^2 +
+        # b^2 / height^2 on a + b = R
+        p = catalog_surface(ell, n)
+        lat = lattice(p)
+        shell = enumerate_basis(lat, shell_complete_size(lat.parity, shells))
+        radius = shells if lat.parity == "odd" else 2 * shells
+        limit = 4.0 * math.pi**2 * radius**2 / (lat.width**2 + lat.height**2)
+        cut = cutoff_basis(lat, limit)
+        below = np.flatnonzero(shell.alpha < limit)
+        assert 100 < len(cut) == len(below) < len(shell)
+        at = {triple: i for i, triple in enumerate(_triples(shell))}
+        pos = np.array([at[triple] for triple in _triples(cut)])
+        assert np.array_equal(np.sort(pos), below)
+        assert np.array_equal(cut.alpha, shell.alpha[pos]) and np.array_equal(cut.norm, shell.norm[pos])
+        assert np.all(np.diff(cut.alpha) >= 0.0)
 
     def test_multiplicity_pairs(self, w32):
-        stream = sorted_alpha_stream(lattice(w32), 30.0)
+        stream = cutoff_basis(lattice(w32), 30.0).alpha
         # every nonzero eigenvalue appears an even number of times (sin+cos)
         values, counts = np.unique(np.round(stream[1:], 12), return_counts=True)
         assert np.all(counts % 2 == 0)

@@ -6,7 +6,8 @@ import pytest
 import wente_index.assembly as assembly_mod
 import wente_index.basis as basis_mod
 import wente_index.bounds as bounds_mod
-from wente_index.assembly import AssemblyConfig, assemble
+from wente_index.assembly import AssemblyConfig, assemble, shell_basis, stability_matrix
+from wente_index.basis import cutoff_basis
 from wente_index.bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -76,10 +77,10 @@ class TestSandwich:
 
         def counting(lat, limit):
             calls.append(limit)
-            return stream(lat, limit)
+            return build(lat, limit)
 
-        stream = basis_mod.sorted_alpha_stream
-        monkeypatch.setattr(basis_mod, "sorted_alpha_stream", counting)
+        build = basis_mod.cutoff_basis
+        monkeypatch.setattr(basis_mod, "cutoff_basis", counting)
         assert tuple(potential_sandwich(w32)) == (2, 213, 0)
         assert len(calls) == 1 and calls[0] > potential_extrema(w32)[1]
 
@@ -111,7 +112,7 @@ class TestSubspace:
         # the form gathered on the selected functions alone, over the field
         # of A_m, is bit for bit the slice of A_m
         p = request.getfixturevalue(surface)
-        form = assemble(p, m)
+        form = assemble(p, shell_basis(p, m))
         pos = np.array(SUBSPACE_SETS[p.label]) - 1
         sub = subspace_bound(p, pos + 1, form=form).matrix
         direct = form.entries[np.ix_(pos, pos)]
@@ -121,13 +122,28 @@ class TestSubspace:
     def test_form_too_small_is_assembled_to_a_full_shell(self, w32, fast_cfg):
         # 3/2's set reaches index 17, beyond A_13; the verdict then comes
         # from A_25, the smallest shell-complete truncation holding it
-        small = assemble(w32, 13, fast_cfg)
+        small = assemble(w32, shell_basis(w32, 13), fast_cfg)
         verdict = subspace_bound(w32, SUBSPACE_SETS["3/2"], fast_cfg, form=small)
         pos = [i - 1 for i in SUBSPACE_SETS["3/2"]]
-        expected = assemble(w32, default_m(w32, 17), fast_cfg).entries[np.ix_(pos, pos)]
+        expected = assemble(w32, shell_basis(w32, default_m(w32, 17)), fast_cfg).entries[np.ix_(pos, pos)]
         assert default_m(w32, 17) == 25
         assert np.array_equal(verdict.matrix, expected)
         assert verdict.negative_definite
+
+    def test_a_form_out_of_shell_order_gives_the_verdict_of_no_form(self, w32):
+        # a cutoff basis holds 519 >= 17 functions, by ascending alpha: its
+        # positions are not the published indices, so the verdict and the
+        # matrix come from the shell truncation, bit for bit as with no form
+        form = assemble(w32, cutoff_basis(lattice(w32), 300.0))
+        assert form.m == 519
+        got = subspace_bound(w32, SUBSPACE_SETS["3/2"], form=form)
+        expected = subspace_bound(w32, SUBSPACE_SETS["3/2"])
+        assert got[:3] == expected[:3] and got.indices == expected.indices
+        assert np.array_equal(got.matrix, expected.matrix)
+        assert np.array_equal(np.signbit(got.matrix), np.signbit(expected.matrix))
+        # the positions of the cutoff order hold other functions
+        pos = np.array(SUBSPACE_SETS["3/2"]) - 1
+        assert not np.array_equal(stability_matrix(form.fld, form.basis[pos]), expected.matrix)
 
     def test_w43_matrix_matches_published_entries(self, w43, fast_cfg):
         mat = subspace_bound(w43, SUBSPACE_SETS["4/3"], fast_cfg).matrix
@@ -148,7 +164,7 @@ class TestSubspace:
     def test_top_eigenvalue_within_the_error_bound_is_not_definite(self, w32, fast_cfg, monkeypatch):
         # -1e-16 is below zero but within 2 eps ||diag(-1, -1e-16)||_F of it
         monkeypatch.setattr(bounds_mod, "stability_matrix", lambda fld, basis: np.diag([-1.0, -1e-16]))
-        verdict = subspace_bound(w32, [1, 2], form=assemble(w32, 13, fast_cfg))
+        verdict = subspace_bound(w32, [1, 2], form=assemble(w32, shell_basis(w32, 13), fast_cfg))
         assert verdict.max_eigenvalue == -1e-16
         assert not verdict.negative_definite
         assert verdict.implied_lower == 0
@@ -266,7 +282,7 @@ class TestFullReport:
         # only its negative one
         report = full_report(w32, m)
         assert f"only {tail} eigenvalue(s) above the negative block at m={m}" in report.notes
-        est = eigen_symmetric(assemble(w32, m))
+        est = eigen_symmetric(assemble(w32, shell_basis(w32, m)))
         assert len(est.first_positive_six) == tail
         if tail:
             assert report.first_positive_six == (est.first_positive_six[0], est.first_positive_six[-1])

@@ -560,6 +560,14 @@ def test_json_writes_a_non_finite_float_as_null(capsys, tmp_path):
     assert [r["file"] for r in rows if "unreadable" in r] == ["pot_bad.wntpot"] and len(rows) > 1
 
 
+def test_no_negative_eigenvalue_is_an_empty_negative_range(capsys):
+    # a zero band wider than the spectrum leaves k = 0: no negatives, so no range, not (0, 0)
+    argv = ["report", "--surface", "3/2", "--zero-tol", "1e300"]
+    (report,) = _strict_json(run_cli(capsys, *argv)[1])["reports"]
+    assert (report["galerkin_k"], report["negative_range"]) == (0, [None, None])
+    assert "negative range           : (nan, nan)" in run_cli(capsys, *argv, "--format", "text")[1]
+
+
 @pytest.mark.parametrize("argv", [["subspace", "--surface", "3/2", "--indices", "1,2,3"], ["cache", "inspect"]])
 def test_single_object_csv_carries_the_envelope(capsys, tmp_path, argv):
     # a payload without rows is one CSV row holding every field; row tables

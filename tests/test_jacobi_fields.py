@@ -14,7 +14,7 @@ coefficient or sector key in the gather breaks that.
 import numpy as np
 import pytest
 
-from wente_index.assembly import assemble, mirror_partners
+from wente_index.assembly import assemble, mirror_partners, shell_basis
 from wente_index.basis import enumerate_basis
 from wente_index.elliptic import jacobi_cn
 from wente_index.surface import CATALOG, catalog_surface, lattice
@@ -86,7 +86,7 @@ def test_translation_fields_are_kernel_vectors_of_a_m(label):
         # both fields are odd powers of f g differentiated once: sines of
         # class wave_x = n (mod 2n) with wave_y odd, one sector of A_m
         support = (basis.wave_x % (2 * p.n) == p.n) & (basis.wave_y % 2 == 1) & basis.sine
-        entries = assemble(p, m).entries
+        entries = assemble(p, shell_basis(p, m)).entries
         row = []
         for (coeffs, norm2), parity in zip(_translation_fields(p, basis), (1.0, -1.0)):
             length = np.sqrt(coeffs @ coeffs)

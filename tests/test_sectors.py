@@ -18,13 +18,20 @@ import pytest
 
 import wente_index.assembly as assembly_mod
 import wente_index.basis as basis_mod
-from wente_index.assembly import AssemblyConfig, assemble, mirror_partners, potential_field, stability_matrix
-from wente_index.basis import enumerate_basis
+from wente_index.assembly import (
+    AssemblyConfig,
+    assemble,
+    mirror_partners,
+    potential_field,
+    shell_basis,
+    stability_matrix,
+)
+from wente_index.basis import cutoff_basis, enumerate_basis
 from wente_index.bounds import default_m, full_report
 from wente_index.cli import main
 from wente_index.reference import REFERENCE_ESTIMATES
 from wente_index.spectrum import eigen_symmetric, half_spectra
-from wente_index.surface import CATALOG, ParameterError, catalog_surface, lattice
+from wente_index.surface import CATALOG, ParameterError, catalog_surface, lattice, potential_extrema
 
 from oracles import cos_coefficient, sector_positions
 
@@ -95,7 +102,8 @@ def _label(basis, n, pos):
 
 @functools.lru_cache(maxsize=None)
 def _case(ell, n, m):
-    matrix = assemble(catalog_surface(ell, n), m)
+    p = catalog_surface(ell, n)
+    matrix = assemble(p, shell_basis(p, m))
     return matrix, _dense_gather(matrix.fld, matrix.basis)
 
 
@@ -163,7 +171,8 @@ def test_principal_is_the_slice_of_entries():
 
 @functools.lru_cache(maxsize=None)
 def _fold_case(ell, n, m):
-    return assemble(catalog_surface(ell, n), m)
+    p = catalog_surface(ell, n)
+    return assemble(p, shell_basis(p, m))
 
 
 @pytest.mark.parametrize("ell,n,m", FOLD_CASES, ids=FOLD_IDS)
@@ -218,6 +227,36 @@ def test_halves_hold_every_function_and_the_dense_spectrum(ell, n, m):
     dense = np.linalg.eigvalsh(matrix.entries)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(eigen_symmetric(matrix).eigenvalues - dense)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("ell,n", [row[:2] for row in CATALOG], ids=[f"{ell}/{n}" for ell, n, _ in CATALOG])
+def test_a_cutoff_splits_no_mirror_pair(ell, n):
+    # mirror partners share alpha bit for bit, so a strict cutoff keeps both or neither
+    p = catalog_surface(ell, n)
+    for limit in (*potential_extrema(p), 40.0):
+        basis = cutoff_basis(lattice(p), limit)
+        partner, _ = mirror_partners(basis)
+        assert np.all(partner >= 0) and np.array_equal(partner[partner], np.arange(len(basis)))
+
+
+@pytest.mark.parametrize(
+    "ell,n,limit,m,k",
+    [(3, 2, 300.0, 519, 14), (8, 7, 40.0, 511, 34), (6, 5, 80.0, 543, 20)],
+    ids=["3/2<300", "8/7<40", "6/5<80"],
+)
+def test_cutoff_halves_hold_the_dense_spectrum(ell, n, limit, m, k):
+    # the halves of the functions with alpha < limit: every function, no
+    # sector left whole, and the spectrum of the dense matrix on the same
+    # basis within the sum of the two solvers' error bounds
+    p = catalog_surface(ell, n)
+    basis = cutoff_basis(lattice(p), limit)
+    matrix = assemble(p, basis)
+    assert (matrix.m, _functions(matrix)) == (m, m)
+    assert all(np.all(labels["mirror"] != "whole") for labels in matrix.labels)
+    est, dense = eigen_symmetric(matrix), stability_matrix(matrix.fld, basis)
+    assert est.negative_count == k
+    bound = est.residual_bound + m * np.finfo(float).eps * np.linalg.norm(dense)
+    assert np.max(np.abs(est.eigenvalues - np.linalg.eigvalsh(dense))) <= bound
 
 
 def _labelled_spectrum(matrix):
@@ -432,7 +471,7 @@ def test_each_row_gathers_its_sector_from_its_own_column_on(monkeypatch, ell, n,
             yield i, j, a
 
     monkeypatch.setattr(assembly_mod, "gather_pairs", recording)
-    assemble(p, m)
+    assemble(p, shell_basis(p, m))
     xs, ys = gathered[::2], gathered[1::2]
     assert len(xs) == len(ys)
     assert Counter(pair for i, j in xs for pair in zip(i.tolist(), j.tolist())) == want
@@ -530,15 +569,15 @@ def test_guard_charges_no_less_than_the_measured_peak(monkeypatch, ell, n, m):
     monkeypatch.setattr(assembly_mod, "potential_field", lambda *args: fld)
     tracemalloc.start()
     try:
-        assemble(p, m)
+        assemble(p, shell_basis(p, m))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: peak - 1)
     with pytest.raises(ParameterError, match=f"m = {m} needs about"):
-        assemble(p, m)
+        assemble(p, shell_basis(p, m))
     monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 2 * peak)
-    assert _functions(assemble(p, m)) == m
+    assert _functions(assemble(p, shell_basis(p, m))) == m
 
 
 @pytest.mark.filterwarnings("ignore:basis size")
@@ -553,12 +592,12 @@ def test_row_chunks_gather_the_bits_of_one_gather(monkeypatch, ell, n, m, chunk)
     p = catalog_surface(ell, n)
 
     def gathered():
-        matrix = assemble(p, m)
+        matrix = assemble(p, shell_basis(p, m))
         dense = matrix.entries.tobytes() if m == 181 else None
         return [s.tobytes() for s in matrix.stacks], [labels.tolist() for labels in matrix.labels], dense
 
     monkeypatch.setattr(assembly_mod, "_CHUNK_PAIRS", m * m)
     whole = gathered()
-    widest = max(_sector_sizes(assemble(p, m)).values())
+    widest = max(_sector_sizes(assemble(p, shell_basis(p, m))).values())
     monkeypatch.setattr(assembly_mod, "_CHUNK_PAIRS", chunk if chunk > 0 else widest - 1)
     assert gathered() == whole

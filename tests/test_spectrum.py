@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wente_index.assembly import assemble
+from wente_index.assembly import assemble, shell_basis
 from wente_index.basis import enumerate_basis
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import build_surface, catalog_surface, lattice
@@ -41,7 +41,8 @@ class TestEigenSymmetric:
     )
     def test_residual_bound_is_k_eps_frobenius_of_the_worst_half(self, ell, n, m):
         # bit for bit the largest k eps ||H||_F over the k x k halves solved
-        matrix = assemble(catalog_surface(ell, n), m)
+        p = catalog_surface(ell, n)
+        matrix = assemble(p, shell_basis(p, m))
         eps = np.finfo(float).eps
         worst = max(len(half) * eps * float(np.sqrt(np.sum(half * half))) for stack in matrix.stacks for half in stack)
         assert eigen_symmetric(matrix).residual_bound == worst
@@ -62,7 +63,7 @@ class TestEigenSymmetric:
         assert est.norm == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
 
     def test_accepts_galerkin_matrix(self, w32, fast_cfg):
-        mat = assemble(w32, 13, fast_cfg)
+        mat = assemble(w32, shell_basis(w32, 13), fast_cfg)
         est = eigen_symmetric(mat)
         assert est.m == 13
         assert est.negative_count == 8
@@ -101,6 +102,8 @@ class TestCounting:
     def test_all_positive(self):
         est = eigen_symmetric(np.diag([0.5, 1.0, 2.0]), 1e-9)
         assert (est.negative_count, est.uncertain_count) == (0, 0)
+        # no negative eigenvalue, so the range of them is empty, as first_positive_six of none
+        assert np.isnan(est.negative_range).all()
 
     def test_default_band_scales_with_norm(self):
         est = eigen_symmetric(np.diag([-5.0, 1e-8, 1e6]))
@@ -111,8 +114,8 @@ class TestCounting:
     def test_h_rescaling_preserves_count_and_scales_eigenvalues(self, fast_cfg):
         half = build_surface(3, 2, 0.5)
         four = build_surface(3, 2, 2.0)
-        est_half = eigen_symmetric(assemble(half, 13, fast_cfg))
-        est_four = eigen_symmetric(assemble(four, 13, fast_cfg))
+        est_half = eigen_symmetric(assemble(half, shell_basis(half, 13), fast_cfg))
+        est_four = eigen_symmetric(assemble(four, shell_basis(four, 13), fast_cfg))
         assert est_half.negative_count == est_four.negative_count
         np.testing.assert_allclose(
             est_four.eigenvalues, 4.0 * est_half.eigenvalues, rtol=1e-9
@@ -123,7 +126,7 @@ class TestNullityDiagnostic:
     """first_positive_six, the values that approach the six-dimensional kernel."""
 
     def test_reports_first_six_after_negative_block(self, w32, fast_cfg):
-        est = eigen_symmetric(assemble(w32, 41, fast_cfg))
+        est = eigen_symmetric(assemble(w32, shell_basis(w32, 41), fast_cfg))
         six = est.first_positive_six
         assert len(six) == 6
         start = est.negative_count + est.uncertain_count
@@ -146,7 +149,7 @@ class TestMonotonicity:
     def test_nested_truncations_only_decrease(self, w43, fast_cfg):
         previous = None
         for m in (9, 25, 49):
-            values = eigen_symmetric(assemble(w43, m, fast_cfg)).eigenvalues
+            values = eigen_symmetric(assemble(w43, shell_basis(w43, m), fast_cfg)).eigenvalues
             if previous is not None:
                 worst = float(np.max(values[: len(previous)] - previous))
                 assert worst <= 1e-9

@@ -15,7 +15,7 @@ import pytest
 
 import wente_index.assembly as assembly_mod
 import wente_index.bounds as bounds_mod
-from wente_index.assembly import assemble
+from wente_index.assembly import assemble, shell_basis
 from wente_index.bounds import full_report
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import catalog_surface
@@ -78,8 +78,9 @@ def test_span_attributes_read_real_results():
     # a traced run reads these attributes from every assemble and eigensolve
     spans = _load_perfbench("spans")
     p, m = catalog_surface(4, 3), 81
-    matrix = assemble(p, m)
-    attrs = spans._attrs("assembly.assemble", assemble, (p, m), {}, matrix)
+    basis = shell_basis(p, m)
+    matrix = assemble(p, basis)
+    attrs = spans._attrs("assembly.assemble", assemble, (p, basis), {}, matrix)
     assert attrs["m"] == m
     assert m <= attrs["nonzero_upper"] <= m * (m + 1) // 2
     est = eigen_symmetric(matrix)
@@ -137,7 +138,8 @@ def test_benchmark_large_m_set_up_passes_its_checks(bench, monkeypatch):
     monkeypatch.setattr(assembly_mod, "gather_pairs", counting)
     for label, sizes in workloads.LARGE_M_SIZES.items():
         chunks.append(0)
-        assemble(catalog_surface(*map(int, label.split("/"))), sizes[-1])
+        p = catalog_surface(*map(int, label.split("/")))
+        assemble(p, shell_basis(p, sizes[-1]))
         assert chunks[-1] > 2  # a chunk is gathered twice, as X and as Y
     outcomes = workloads.LargeMWorkload(lib, seed=1).run_pass()[1]
     assert sorted(out.key[1] for out in outcomes) == sorted(workloads.LARGE_M_SIZES.values())
