@@ -354,12 +354,13 @@ class GalerkinMatrix:
         return stability_matrix(self.fld, self.basis)
 
 
-def _refuse_beyond_memory(m: int, entries: float, blocks: str, largest, more: int = 0) -> None:
-    """ParameterError when that many half entries plus more bytes would not fit in physical memory."""
+def _refuse_beyond_memory(m: int, entries: int, blocks: str, largest, more: int = 0) -> None:
+    """ParameterError when that many half entries plus more bytes (integers, exact at any size) would not fit."""
     need, have = 8 * entries + _CHUNK_BYTES + more, _physical_memory()
     if need > have:
+        gib = need / 2**30 if need < 2**1000 else float("inf")
         raise ParameterError(
-            f"m = {m} needs about {need / 2**30:.1f} GiB to assemble its {blocks} "
+            f"m = {m} needs about {gib:.1f} GiB to assemble its {blocks} "
             f"(the largest has {largest} functions); this machine has {have / 2**30:.1f} GiB"
         )
 
@@ -372,7 +373,7 @@ def shell_basis(p: SurfaceParams, m: int) -> Basis:
     # as large as its cosine), and the halves of a sector of s functions hold
     # at least s^2 / 2 entries: e^2 + o^2 with e + o = s
     most = 4 * (p.n + 1)
-    _refuse_beyond_memory(m, m * m / (4 * most), f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
+    _refuse_beyond_memory(m, m * m // (4 * most), f"at most {most} symmetry blocks", f"at least {-(-m // most)}")
     return enumerate_basis(lattice(p), m)
 
 

@@ -95,11 +95,13 @@ def shell_complete_size(parity: str, shells: int) -> int:
 
 
 def shells_holding(parity: str, m: int) -> int:
-    """Smallest number of full shells holding at least m functions (m >= 1)."""
-    shells = 1
-    while shell_complete_size(parity, shells) < m:
-        shells += 1
-    return shells
+    """Smallest number of full shells holding at least m functions (1 for any m <= 1).
+
+    s shells hold ((2s - 1)^2 + 1) / 2 functions on odd parity and (2s - 1)^2
+    on even, so s is the least with 2s - 1 >= ceil(sqrt(N)), N = 2m - 1 resp. m.
+    """
+    need = 2 * m - 1 if parity == "odd" else m
+    return (math.isqrt(max(need - 1, 0)) + 3) // 2
 
 
 def is_shell_complete(parity: str, m: int) -> bool:
@@ -149,12 +151,6 @@ def enumerate_basis(lat: Lattice, m: int) -> Basis:
     if not is_shell_complete(lat.parity, m):
         warnings.warn(f"basis size {m} does not complete a shell ({lat.parity} parity)", stacklevel=2)
     return _from_waves(lat, *_waves(lat.parity, shells_holding(lat.parity, m)))[:m]
-
-
-def _in_shell_order(lat: Lattice, basis: Basis) -> bool:
-    """Whether position i holds published basis index i + 1: the functions of enumerate_basis(lat, len(basis))."""
-    shell = _from_waves(lat, *_waves(lat.parity, shells_holding(lat.parity, len(basis))))[: len(basis)]
-    return all(np.array_equal(getattr(basis, k), getattr(shell, k)) for k in ("wave_x", "wave_y", "sine"))
 
 
 def cutoff_basis(lat: Lattice, limit: float) -> Basis:

@@ -9,7 +9,7 @@ Three independent routes bound the Morse index of W_{l/n}:
   mu - 1 <= Ind <= nu;
 * a subspace of Laplacian eigenfunctions on which the quadratic form is
   negative definite certifies Ind >= N - 1; its restricted form is a
-  principal submatrix of an assembled truncation A_M.
+  principal submatrix of a truncation A_M, gathered over A_M's field.
 
 The Galerkin route (assembly + spectrum) sharpens these: the number k of
 negative eigenvalues of A_m grows monotonically toward the true count, and
@@ -28,9 +28,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .assembly import AssemblyConfig, GalerkinMatrix, assemble, shell_basis, stability_matrix
+from .assembly import AssemblyConfig, PotentialField, assemble, potential_field, shell_basis, stability_matrix
 from .assembly import sample_potential  # noqa: F401  (perfbench/spans.py traces this name)
-from .basis import _in_shell_order, count_alpha_below, shell_complete_size, shells_holding
+from .basis import Basis, count_alpha_below, shell_complete_size, shells_holding
 from .basis import enumerate_basis  # noqa: F401  (perfbench/spans.py traces this name)
 from .reference import REFERENCE_ESTIMATES
 from .spectrum import eigen_symmetric
@@ -103,33 +103,9 @@ def potential_sandwich(p: SurfaceParams) -> SandwichBounds:
     return SandwichBounds(lower=mu - 1, upper=nu, near_boundary=near_min + near_max)
 
 
-def subspace_bound(
-    p: SurfaceParams,
-    indices: Sequence[int],
-    cfg: AssemblyConfig | None = None,
-    form: GalerkinMatrix | None = None,
-) -> SubspaceVerdict:
-    """Check negative definiteness of the restricted form on the given span.
-
-    The restriction to the 1-based basis indices (shell positions) is the
-    stability matrix on those functions over the field of form when form is
-    in shell order and holds them, otherwise of A_M assembled at the
-    smallest shell-complete M >= max(indices): bit for bit a principal
-    submatrix of A_M.  It counts as negative definite only when its top
-    eigenvalue lies below -residual_bound, the solver's error bound.  A
-    negative definite N-dimensional restriction implies Ind >= N - 1 (one
-    dimension can be lost to the volume constraint).
-    """
-    indices = tuple(int(i) for i in indices)
-    if not indices:
-        raise ParameterError("at least one basis index is required")
-    if len(set(indices)) != len(indices):
-        raise ParameterError("basis indices must be distinct")
-    if min(indices) < 1:
-        raise ParameterError("basis indices are 1-based")
-    if form is None or form.m < max(indices) or not _in_shell_order(lattice(p), form.basis):
-        form = assemble(p, shell_basis(p, default_m(p, max(indices))), cfg)
-    mat = stability_matrix(form.fld, form.basis[np.array(indices) - 1])
+def _restricted(fld: PotentialField, functions: Basis, indices: tuple[int, ...]) -> SubspaceVerdict:
+    """The verdict on the stability matrix over fld restricted to the functions (basis indices `indices`)."""
+    mat = stability_matrix(fld, functions)
     est = eigen_symmetric(mat)
     top = float(est.eigenvalues[-1])
     definite = top < -est.residual_bound
@@ -140,6 +116,30 @@ def subspace_bound(
         matrix=mat,
         indices=indices,
     )
+
+
+def subspace_bound(p: SurfaceParams, indices: Sequence[int], cfg: AssemblyConfig | None = None) -> SubspaceVerdict:
+    """Check negative definiteness of the restricted form on the given span.
+
+    The restriction to the 1-based basis indices (shell positions) is the
+    stability matrix on those functions over the field that assemble
+    samples for A_M, M the smallest shell-complete size >= max(indices):
+    bit for bit a principal submatrix of A_M, which is never assembled.  It
+    counts as negative definite only when its top eigenvalue lies below
+    -residual_bound, the solver's error bound.  A negative definite
+    N-dimensional restriction implies Ind >= N - 1 (one dimension can be
+    lost to the volume constraint).
+    """
+    indices = tuple(int(i) for i in indices)
+    if not indices:
+        raise ParameterError("at least one basis index is required")
+    if len(set(indices)) != len(indices):
+        raise ParameterError("basis indices must be distinct")
+    if min(indices) < 1:
+        raise ParameterError("basis indices are 1-based")
+    basis = shell_basis(p, default_m(p, max(indices)))
+    fld = potential_field(p, basis, cfg or AssemblyConfig())
+    return _restricted(fld, basis[np.array(indices) - 1], indices)
 
 
 def default_m(p: SurfaceParams, at_least: int = 81) -> int:
@@ -187,9 +187,10 @@ def full_report(
 
     m defaults to the surface's published truncation size, or default_m(p)
     without a reference row.  The subspace check uses the shipped certified
-    set for the surface when one exists.  Inconsistent bounds raise
-    ConsistencyError: they can only come from a numerical fault, never from
-    the mathematics.
+    set for the surface when one exists: restricted over A_m's field when
+    the set lies within the first m functions, otherwise by subspace_bound.
+    Inconsistent bounds raise ConsistencyError: they can only come from a
+    numerical fault, never from the mathematics.
     """
     if m is None:
         m = {row.surface: row.m for row in REFERENCE_ESTIMATES}.get(p.label) or default_m(p)
@@ -204,12 +205,15 @@ def full_report(
         )
 
     subspace_indices = SUBSPACE_SETS.get(p.label)
-    # One matrix serves the Galerkin count and, when the selection lies
-    # within the first m functions, the subspace check.
+    # position i of the shell basis holds basis index i + 1, so A_m's field
+    # serves the subspace check when the selection lies within m
     matrix = assemble(p, shell_basis(p, m), cfg)
     subspace_lower: int | None = None
     if subspace_indices is not None:
-        verdict = subspace_bound(p, subspace_indices, cfg, form=matrix)
+        if m >= max(subspace_indices):
+            verdict = _restricted(matrix.fld, matrix.basis[np.array(subspace_indices) - 1], subspace_indices)
+        else:
+            verdict = subspace_bound(p, subspace_indices, cfg)
         if verdict.negative_definite:
             subspace_lower = verdict.implied_lower
         else:

@@ -26,7 +26,6 @@ __all__ = [
     "EstimateRow",
     "REFERENCE_GEOMETRY",
     "REFERENCE_ESTIMATES",
-    "geometry_row",
     "estimate_row",
 ]
 
@@ -100,13 +99,6 @@ REFERENCE_ESTIMATES: tuple[EstimateRow, ...] = (
     EstimateRow("12/7", 8, 14, 81, (-78.3, -57.4), (2.08, 10.6)),
     EstimateRow("13/7", None, 28, 181, (-503.0, -278.3), (24.8, 37.3)),
 )
-
-
-def geometry_row(surface: str) -> GeometryRow:
-    for row in REFERENCE_GEOMETRY:
-        if row.surface == surface:
-            return row
-    raise KeyError(surface)
 
 
 def estimate_row(surface: str) -> EstimateRow:

@@ -9,8 +9,10 @@ this script on the source tree before and after it, then comparing:
 
 The outputs, in this order:
   * `report --surface L --jobs 1` stdout for each of the 19 catalogued surfaces;
+  * `report --surface 5/4 --m 25 --jobs 1` stdout, a report whose selection (to index 45) reaches past m;
   * `table3 --surface all` stdout;
   * `subspace --surface L` stdout, JSON and text, for each of the 12 published selections;
+  * `subspace --surface 3/2 --indices 1,2,3` stdout (JSON), a given index list;
   * `full_report(p, m).to_dict()` as sorted-key JSON at the large-m sizes:
     3/2 and 7/6 at m = 1013 and 2113, 4/3 at m = 1089 and 2025.
 
@@ -49,11 +51,15 @@ def outputs(lib):
     for ell, n, _ in surface.CATALOG:
         argv = ["report", "--surface", f"{ell}/{n}", "--jobs", "1"]
         yield f"report {ell}/{n}", lambda argv=argv: _stdout(main, argv)
+    argv = ["report", "--surface", "5/4", "--m", "25", "--jobs", "1"]
+    yield "report 5/4@25", lambda argv=argv: _stdout(main, argv)
     yield "table3 all", lambda: _stdout(main, ["table3", "--surface", "all"])
     for label in bounds.SUBSPACE_SETS:
         for fmt in ("json", "text"):
             argv = ["subspace", "--surface", label, "--format", fmt]
             yield f"subspace {label} {fmt}", lambda argv=argv: _stdout(main, argv)
+    argv = ["subspace", "--surface", "3/2", "--indices", "1,2,3"]
+    yield "subspace 3/2 1,2,3 json", lambda argv=argv: _stdout(main, argv)
     for label, sizes in LARGE_M.items():
         p = surface.catalog_surface(*map(int, label.split("/")))
         for m in sizes:

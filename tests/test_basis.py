@@ -202,6 +202,15 @@ class TestShellSizes:
             for shells, size in enumerate(sizes, start=1):
                 assert shells_holding(parity, size) == shells
                 assert shells_holding(parity, size + 1) == shells + 1
+        # the closed form is the least s whose shells hold m, at every size
+        # up to 5000 and around shell sizes far past any loop
+        for parity in ("odd", "even"):
+            for m in range(1, 5001):
+                s = shells_holding(parity, m)
+                assert shell_complete_size(parity, s) >= m and (s == 1 or shell_complete_size(parity, s - 1) < m)
+            for s in (10**6, 10**9 + 7, 10**30):
+                size = shell_complete_size(parity, s)
+                assert [shells_holding(parity, m) for m in (size - 1, size, size + 1)] == [s, s, s + 1]
 
     def test_enumeration_requires_positive_size(self, w32):
         with pytest.raises(ValueError):

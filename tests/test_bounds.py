@@ -6,8 +6,7 @@ import pytest
 import wente_index.assembly as assembly_mod
 import wente_index.basis as basis_mod
 import wente_index.bounds as bounds_mod
-from wente_index.assembly import AssemblyConfig, assemble, shell_basis, stability_matrix
-from wente_index.basis import cutoff_basis
+from wente_index.assembly import AssemblyConfig, assemble, shell_basis
 from wente_index.bounds import (
     SUBSPACE_SETS,
     ConsistencyError,
@@ -20,7 +19,7 @@ from wente_index.bounds import (
 )
 from wente_index.reference import REFERENCE_GEOMETRY, estimate_row
 from wente_index.spectrum import eigen_symmetric
-from wente_index.surface import ParameterError, catalog_surface, lattice, potential_extrema
+from wente_index.surface import ParameterError, catalog_surface, potential_extrema
 
 W43_PUBLISHED_MATRIX = np.array(
     [
@@ -109,41 +108,26 @@ class TestSubspace:
 
     @pytest.mark.parametrize("surface,m", [("w32", 41), ("w43", 49)])
     def test_matrix_on_shared_field_is_block_of_assemble(self, surface, m, request):
-        # the form gathered on the selected functions alone, over the field
-        # of A_m, is bit for bit the slice of A_m
+        # the form gathered on the selected functions alone is bit for bit
+        # the slice of the assembled matrix whose field it reads: A_m's in
+        # the report, A_M's (M the smallest shell-complete size holding the
+        # selection) in subspace_bound
         p = request.getfixturevalue(surface)
-        form = assemble(p, shell_basis(p, m))
         pos = np.array(SUBSPACE_SETS[p.label]) - 1
-        sub = subspace_bound(p, pos + 1, form=form).matrix
-        direct = form.entries[np.ix_(pos, pos)]
-        assert np.array_equal(sub, direct)
-        assert np.array_equal(np.signbit(sub), np.signbit(direct))
+        form = assemble(p, shell_basis(p, m))
+        report = bounds_mod._restricted(form.fld, form.basis[pos], tuple(pos + 1)).matrix
+        whole = assemble(p, shell_basis(p, default_m(p, pos.max() + 1)))
+        standalone = subspace_bound(p, pos + 1).matrix
+        for sub, direct in ((report, form.entries[np.ix_(pos, pos)]), (standalone, whole.entries[np.ix_(pos, pos)])):
+            assert np.array_equal(sub, direct)
+            assert np.array_equal(np.signbit(sub), np.signbit(direct))
 
-    def test_form_too_small_is_assembled_to_a_full_shell(self, w32, fast_cfg):
-        # 3/2's set reaches index 17, beyond A_13; the verdict then comes
-        # from A_25, the smallest shell-complete truncation holding it
-        small = assemble(w32, shell_basis(w32, 13), fast_cfg)
-        verdict = subspace_bound(w32, SUBSPACE_SETS["3/2"], fast_cfg, form=small)
-        pos = [i - 1 for i in SUBSPACE_SETS["3/2"]]
-        expected = assemble(w32, shell_basis(w32, default_m(w32, 17)), fast_cfg).entries[np.ix_(pos, pos)]
+    def test_form_too_small_is_assembled_to_a_full_shell(self, w32):
+        # 3/2's set reaches index 17, beyond A_13; the report's verdict then
+        # comes from A_25, the smallest shell-complete truncation holding it
+        report = full_report(w32, 13)
         assert default_m(w32, 17) == 25
-        assert np.array_equal(verdict.matrix, expected)
-        assert verdict.negative_definite
-
-    def test_a_form_out_of_shell_order_gives_the_verdict_of_no_form(self, w32):
-        # a cutoff basis holds 519 >= 17 functions, by ascending alpha: its
-        # positions are not the published indices, so the verdict and the
-        # matrix come from the shell truncation, bit for bit as with no form
-        form = assemble(w32, cutoff_basis(lattice(w32), 300.0))
-        assert form.m == 519
-        got = subspace_bound(w32, SUBSPACE_SETS["3/2"], form=form)
-        expected = subspace_bound(w32, SUBSPACE_SETS["3/2"])
-        assert got[:3] == expected[:3] and got.indices == expected.indices
-        assert np.array_equal(got.matrix, expected.matrix)
-        assert np.array_equal(np.signbit(got.matrix), np.signbit(expected.matrix))
-        # the positions of the cutoff order hold other functions
-        pos = np.array(SUBSPACE_SETS["3/2"]) - 1
-        assert not np.array_equal(stability_matrix(form.fld, form.basis[pos]), expected.matrix)
+        assert report.subspace_lower == 8
 
     def test_w43_matrix_matches_published_entries(self, w43, fast_cfg):
         mat = subspace_bound(w43, SUBSPACE_SETS["4/3"], fast_cfg).matrix
@@ -164,7 +148,7 @@ class TestSubspace:
     def test_top_eigenvalue_within_the_error_bound_is_not_definite(self, w32, fast_cfg, monkeypatch):
         # -1e-16 is below zero but within 2 eps ||diag(-1, -1e-16)||_F of it
         monkeypatch.setattr(bounds_mod, "stability_matrix", lambda fld, basis: np.diag([-1.0, -1e-16]))
-        verdict = subspace_bound(w32, [1, 2], form=assemble(w32, shell_basis(w32, 13), fast_cfg))
+        verdict = subspace_bound(w32, [1, 2], fast_cfg)
         assert verdict.max_eigenvalue == -1e-16
         assert not verdict.negative_definite
         assert verdict.implied_lower == 0

@@ -5,6 +5,7 @@ import json
 import re
 import struct
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +62,19 @@ class TestReport:
         assert info.value.code == 2
 
     @pytest.mark.parametrize(
-        "argv", [["report", "--m", "1000000000"], ["subspace", "--indices", "1,100000000"]]
+        "argv",
+        [
+            ["report", "--m", "1000000000"],
+            ["subspace", "--indices", "1,100000000"],
+            ["subspace", "--indices", "1,100000000000000"],
+            ["report", "--m", str(10**155)],
+            ["report", "--m", str(10**200)],
+        ],
     )
     def test_size_beyond_memory_exits_before_enumerating(self, capsys, monkeypatch, argv):
+        # at once at any size: the shell count is a closed form and the
+        # guard's byte counts are integers, so neither a long loop nor a
+        # float overflow comes first
         import wente_index.assembly as assembly_mod
 
         def never(*args, **kwargs):
@@ -71,8 +82,10 @@ class TestReport:
 
         monkeypatch.setattr(assembly_mod, "enumerate_basis", never)
         monkeypatch.setattr(assembly_mod, "_physical_memory", lambda: 8 * 2**30)
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as info:
             main([argv[0], "--surface", "3/2", *argv[1:]])
+        assert time.perf_counter() - start < 1.0
         assert info.value.code == 2
         assert "at most 12 symmetry blocks" in capsys.readouterr().err
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wente_index.reference import REFERENCE_GEOMETRY, geometry_row
+from wente_index.reference import REFERENCE_GEOMETRY
 from wente_index.surface import (
     CATALOG,
     THETA_BAR_DEGREES,

@@ -16,7 +16,7 @@ import pytest
 import wente_index.assembly as assembly_mod
 import wente_index.bounds as bounds_mod
 from wente_index.assembly import assemble, shell_basis
-from wente_index.bounds import full_report
+from wente_index.bounds import SUBSPACE_SETS, full_report, subspace_bound
 from wente_index.spectrum import eigen_symmetric
 from wente_index.surface import catalog_surface
 
@@ -38,21 +38,9 @@ def test_every_traced_name_resolves():
         assert callable(getattr(importlib.import_module(f"wente_index.{module}"), attr)), (module, attr)
 
 
-@pytest.mark.parametrize(
-    "ell,n,m,enumerations",
-    [
-        (3, 2, 181, 1),
-        (4, 3, 81, 1),
-        # 5/4's published selection reaches index 45, beyond A_25, so the
-        # subspace check assembles its own shell-complete matrix
-        (5, 4, 25, 2),
-    ],
-)
-def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell, n, m, enumerations):
-    # gather_pairs is the one kernel pass behind a matrix: assemble's
-    # reflection halves and the dense view (stability_matrix, which
-    # subspace_bound calls for its restriction) call it once
-    calls = {"enumerate_basis": 0, "cached_sample_potential": 0, "gather_pairs": 0, "stability_matrix": 0}
+def _count_calls(monkeypatch, names=("enumerate_basis", "cached_sample_potential", "gather_pairs", "stability_matrix")):
+    """Calls per name, counted in assembly and, for enumerate_basis and stability_matrix, in bounds too."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, orig):
         def wrapper(*args, **kwargs):
@@ -65,13 +53,40 @@ def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell,
         monkeypatch.setattr(assembly_mod, name, counting(name, getattr(assembly_mod, name)))
     for name in ("enumerate_basis", "stability_matrix"):
         monkeypatch.setattr(bounds_mod, name, counting(name, getattr(bounds_mod, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ell,n,m,enumerations",
+    [
+        (3, 2, 181, 1),
+        (4, 3, 81, 1),
+        # 5/4's published selection reaches index 45, beyond A_25, so the
+        # subspace check enumerates and samples A_45's basis and field, and
+        # gathers only its restriction
+        (5, 4, 25, 2),
+    ],
+)
+def test_report_enumerates_samples_and_gathers_once_per_matrix(monkeypatch, ell, n, m, enumerations):
+    # gather_pairs is the one kernel pass behind a matrix: assemble's
+    # reflection halves of A_m and the dense view (stability_matrix, which
+    # the subspace check calls for its restriction) call it once each
+    calls = _count_calls(monkeypatch)
     full_report(catalog_surface(ell, n), m)
     assert calls == {
         "enumerate_basis": enumerations,
         "cached_sample_potential": enumerations,
-        "gather_pairs": enumerations + 1,
+        "gather_pairs": 2,
         "stability_matrix": 1,
     }
+
+
+def test_subspace_bound_enumerates_samples_and_gathers_once(monkeypatch):
+    # the standalone check reads A_M's field and gathers its restriction
+    # alone: A_M is never assembled
+    calls = _count_calls(monkeypatch)
+    subspace_bound(catalog_surface(5, 4), SUBSPACE_SETS["5/4"])
+    assert calls == {"enumerate_basis": 1, "cached_sample_potential": 1, "gather_pairs": 1, "stability_matrix": 1}
 
 
 def test_span_attributes_read_real_results():
